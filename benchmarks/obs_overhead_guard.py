@@ -9,9 +9,14 @@ for **every** engine in ``ENGINE_NAMES``, then
   below a floor, which is the regression CI actually cares about: the
   obs gate is one module-attribute lookup and the energy gate is one
   ``is not None`` per slice, and both must stay that way;
+* fails (exit 1) if the native engine's baseline throughput is below the
+  reference engine's: a fast engine that loses to the one it replaces
+  must not pass on an absolute floor alone;
 * reports the obs-enabled and energy-enabled ratios so overhead creep
   in either path is visible in CI logs, and writes every number to
-  ``BENCH_obs.json``.
+  ``BENCH_obs.json``.  With tracing on, a native run falls back to the
+  reference engine (the only one with instrumentation points); its
+  enabled row records that fallback.
 
 Usage::
 
@@ -43,15 +48,16 @@ DEFAULT_FLOOR = 150_000.0
 FLOOR_ENV = "REPRO_OBS_SPEED_FLOOR"
 
 
-def timed_run(engine: str = "reference", energy=None) -> float:
-    """One full simulation (scheduler + hierarchy); returns instr/s."""
+def timed_run(engine: str = "reference", energy=None):
+    """One full simulation (scheduler + hierarchy); returns instr/s and
+    the engine that actually ran."""
     sim = Simulation(config=base_architecture(),
                      profiles=default_suite(INSTRUCTIONS)[:2],
                      time_slice=2_000, engine=engine, energy=energy)
     start = time.perf_counter()
     stats = sim.run(max_instructions=INSTRUCTIONS)
     elapsed = time.perf_counter() - start
-    return stats.instructions / elapsed
+    return stats.instructions / elapsed, sim.memsys.engine.name
 
 
 def main(argv=None) -> int:
@@ -61,24 +67,29 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     floor = float(os.environ.get(FLOOR_ENV, DEFAULT_FLOOR))
 
-    timed_run()  # warm caches/imports so both measurements compare fairly
+    for engine in ENGINE_NAMES:  # warm caches, imports, the kernel build
+        timed_run(engine)
 
     report = {"instructions": INSTRUCTIONS, "floor_instr_per_s": floor,
-              "engines": {}}
+              "cpu_count": os.cpu_count(), "engines": {}}
     failed = False
     for engine in ENGINE_NAMES:
-        disabled_rate = timed_run(engine)
+        disabled_rate, ran = timed_run(engine)
+        if ran != engine:
+            print(f"FAIL: {engine} fell back to {ran} with tracing off",
+                  file=sys.stderr)
+            failed = True
 
         with tempfile.TemporaryDirectory() as tmp:
             trace_path = Path(tmp) / "guard.jsonl"
             obs.enable(trace_path, sample_interval=100_000)
             try:
-                enabled_rate = timed_run(engine)
+                enabled_rate, enabled_engine = timed_run(engine)
             finally:
                 obs.disable()
             records = len(obs.read_events(trace_path))
 
-        energy_rate = timed_run(engine, energy="paper")
+        energy_rate, _ = timed_run(engine, energy="paper")
 
         ratio = (disabled_rate / enabled_rate if enabled_rate
                  else float("inf"))
@@ -88,6 +99,7 @@ def main(argv=None) -> int:
             "disabled_instr_per_s": round(disabled_rate),
             "enabled_instr_per_s": round(enabled_rate),
             "enabled_overhead_x": round(ratio, 3),
+            "enabled_engine": enabled_engine,
             "energy_instr_per_s": round(energy_rate),
             "energy_overhead_x": round(energy_ratio, 3),
             "trace_records": records,
@@ -95,7 +107,8 @@ def main(argv=None) -> int:
         print(f"[{engine}] obs+energy off : {disabled_rate:,.0f} instr/s "
               f"(floor {floor:,.0f})")
         print(f"[{engine}] obs on         : {enabled_rate:,.0f} instr/s "
-              f"({ratio:.2f}x slower, {records} trace records)")
+              f"({ratio:.2f}x slower, {records} trace records, ran "
+              f"{enabled_engine})")
         print(f"[{engine}] energy on      : {energy_rate:,.0f} instr/s "
               f"({energy_ratio:.2f}x slower)")
         if disabled_rate < floor:
@@ -105,11 +118,20 @@ def main(argv=None) -> int:
                   f"(or set {FLOOR_ENV} for this machine)", file=sys.stderr)
             failed = True
 
+    engines = report["engines"]
+    native_rate = engines["native"]["disabled_instr_per_s"]
+    reference_rate = engines["reference"]["disabled_instr_per_s"]
+    if native_rate < reference_rate:
+        print(f"FAIL: native ({native_rate:,} instr/s) is slower than "
+              f"reference ({reference_rate:,} instr/s) with obs and "
+              f"energy off", file=sys.stderr)
+        failed = True
+
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     if failed:
         return 1
     print("PASS: observability and energy accounting are free "
-          "when disabled (both engines)")
+          "when disabled (both engines), and native >= reference")
     return 0
 
 

@@ -60,16 +60,12 @@ class Cache:
         self.sets = self.lines // ways
         self.index_mask = self.sets - 1
         self.line_shift = log2i(line_words)
-        # Direct-mapped fast path: flat arrays.  Associative: per-set
-        # MRU-ordered lists of [tag, dirty] pairs.
-        if ways == 1:
-            self._tags: List[int] = [INVALID] * self.sets
-            self._dirty: List[bool] = [False] * self.sets
-            self._sets = None
-        else:
-            self._tags = None
-            self._dirty = None
-            self._sets = [[] for _ in range(self.sets)]
+        # One flat slot array for every associativity: set ``i`` owns slots
+        # ``i*ways .. i*ways+ways-1``, most recently used first, empty
+        # (INVALID) slots last.  Direct-mapped is the ``ways == 1`` case.
+        # The native engine drives the same layout as NumPy arrays.
+        self._tags: List[int] = [INVALID] * self.lines
+        self._dirty: List[bool] = [False] * self.lines
         self.hits = 0
         self.misses = 0
         #: Optional observability tag: when set (e.g. ``"l2d"`` or an
@@ -83,29 +79,37 @@ class Cache:
         """The set a line address maps to."""
         return line_addr & self.index_mask
 
+    def _slot(self, line_addr: int) -> int:
+        """The slot holding ``line_addr``, or -1 when it is absent."""
+        base = (line_addr & self.index_mask) * self.ways
+        for slot in range(base, base + self.ways):
+            if self._tags[slot] == line_addr:
+                return slot
+        return -1
+
     def contains(self, line_addr: int) -> bool:
         """Non-mutating presence check (no LRU update, no counters)."""
-        index = line_addr & self.index_mask
-        if self.ways == 1:
-            return self._tags[index] == line_addr
-        return any(entry[0] == line_addr for entry in self._sets[index])
+        return self._slot(line_addr) >= 0
 
     def is_dirty(self, line_addr: int) -> bool:
         """True when the line is present and dirty."""
-        index = line_addr & self.index_mask
-        if self.ways == 1:
-            return self._tags[index] == line_addr and self._dirty[index]
-        for entry in self._sets[index]:
-            if entry[0] == line_addr:
-                return entry[1]
-        return False
+        slot = self._slot(line_addr)
+        return slot >= 0 and bool(self._dirty[slot])
 
     @property
     def valid_lines(self) -> int:
         """Number of valid lines currently resident."""
-        if self.ways == 1:
-            return sum(1 for t in self._tags if t != INVALID)
-        return sum(len(s) for s in self._sets)
+        return sum(1 for t in self._tags if t != INVALID)
+
+    def _set_entries(self):
+        """Per set, the resident ``(tag, dirty)`` pairs, MRU first."""
+        tags = list(self._tags)
+        dirty = list(self._dirty)
+        ways = self.ways
+        return [[(int(tags[slot]), bool(dirty[slot]))
+                 for slot in range(base, base + ways)
+                 if tags[slot] != INVALID]
+                for base in range(0, self.lines, ways)]
 
     # ------------------------------------------------------------- operations
 
@@ -136,55 +140,51 @@ class Cache:
                                  victim_dirty=victim_dirty)
             return False, FillResult(victim_tag, victim_dirty)
 
-        entry_set = self._sets[index]
-        for position, entry in enumerate(entry_set):
-            if entry[0] == line_addr:
+        tags = self._tags
+        dirty = self._dirty
+        base = index * self.ways
+        last = base + self.ways - 1
+        for slot in range(base, last + 1):
+            if tags[slot] == line_addr:
                 self.hits += 1
-                if write:
-                    entry[1] = True
-                if position:
-                    del entry_set[position]
-                    entry_set.insert(0, entry)
+                was_dirty = dirty[slot] or write
+                tags[base + 1:slot + 1] = tags[base:slot]
+                dirty[base + 1:slot + 1] = dirty[base:slot]
+                tags[base] = line_addr
+                dirty[base] = was_dirty
                 return True, FillResult(INVALID, False)
         self.misses += 1
-        entry_set.insert(0, [line_addr, write])
-        victim = entry_set.pop() if len(entry_set) > self.ways else None
+        victim_tag = tags[last]
+        victim_dirty = bool(dirty[last]) if victim_tag != INVALID else False
+        tags[base + 1:last + 1] = tags[base:last]
+        dirty[base + 1:last + 1] = dirty[base:last]
+        tags[base] = line_addr
+        dirty[base] = write
         if _obs.enabled and self.trace_name is not None:
             _obs.tracer.emit("cache_miss", name=self.trace_name,
                              line=line_addr, write=write,
-                             victim_dirty=bool(victim and victim[1]))
-        if victim is not None:
-            return False, FillResult(victim[0], victim[1])
-        return False, FillResult(INVALID, False)
+                             victim_dirty=victim_dirty)
+        return False, FillResult(victim_tag, victim_dirty)
 
     def invalidate(self, line_addr: int) -> bool:
         """Drop a line if present; returns True when something was dropped."""
-        index = line_addr & self.index_mask
-        if self.ways == 1:
-            if self._tags[index] == line_addr:
-                self._tags[index] = INVALID
-                self._dirty[index] = False
-                return True
+        slot = self._slot(line_addr)
+        if slot < 0:
             return False
-        entry_set = self._sets[index]
-        for position, entry in enumerate(entry_set):
-            if entry[0] == line_addr:
-                del entry_set[position]
-                return True
-        return False
+        # Close the gap so empty slots stay last in the set.
+        last = (line_addr & self.index_mask) * self.ways + self.ways - 1
+        self._tags[slot:last] = self._tags[slot + 1:last + 1]
+        self._dirty[slot:last] = self._dirty[slot + 1:last + 1]
+        self._tags[last] = INVALID
+        self._dirty[last] = False
+        return True
 
     def flush(self) -> int:
         """Invalidate everything; returns the number of dirty lines dropped."""
-        dirty = 0
-        if self.ways == 1:
-            dirty = sum(1 for t, d in zip(self._tags, self._dirty)
-                        if t != INVALID and d)
-            self._tags = [INVALID] * self.sets
-            self._dirty = [False] * self.sets
-        else:
-            for entry_set in self._sets:
-                dirty += sum(1 for entry in entry_set if entry[1])
-                entry_set.clear()
+        dirty = sum(1 for t, d in zip(self._tags, self._dirty)
+                    if t != INVALID and d)
+        self._tags = [INVALID] * self.lines
+        self._dirty = [False] * self.lines
         return dirty
 
     @property
@@ -211,11 +211,11 @@ class Cache:
             "misses": self.misses,
         }
         if self.ways == 1:
-            state["tags"] = list(self._tags)
+            state["tags"] = [int(t) for t in self._tags]
             state["dirty"] = [bool(d) for d in self._dirty]
         else:
-            state["sets"] = [[[tag, bool(dirty)] for tag, dirty in entry_set]
-                             for entry_set in self._sets]
+            state["sets"] = [[[tag, dirty] for tag, dirty in entries]
+                             for entries in self._set_entries()]
         return state
 
     def load_state(self, state: dict) -> None:
@@ -235,17 +235,26 @@ class Cache:
                         f"cache snapshot has {len(tags)} sets, "
                         f"expected {self.sets}"
                     )
-                self._tags = tags
-                self._dirty = dirty
             else:
-                sets = [[[int(tag), bool(dirty)] for tag, dirty in entry_set]
-                        for entry_set in state["sets"]]
+                sets = state["sets"]
                 if len(sets) != self.sets:
                     raise CheckpointError(
                         f"cache snapshot has {len(sets)} sets, "
                         f"expected {self.sets}"
                     )
-                self._sets = sets
+                tags = [INVALID] * self.lines
+                dirty = [False] * self.lines
+                for index, entries in enumerate(sets):
+                    if len(entries) > self.ways:
+                        raise CheckpointError(
+                            f"cache snapshot set {index} holds "
+                            f"{len(entries)} lines, associativity is "
+                            f"{self.ways}")
+                    for k, (tag, is_dirty) in enumerate(entries):
+                        tags[index * self.ways + k] = int(tag)
+                        dirty[index * self.ways + k] = bool(is_dirty)
+            self._tags = tags
+            self._dirty = dirty
             self.hits = int(state["hits"])
             self.misses = int(state["misses"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -256,33 +265,30 @@ class Cache:
         :class:`~repro.errors.StateCorruptionError` on violation.
 
         Checks that every stored tag maps back to the set holding it (which
-        catches bit flips in the index range of a tag), that no set exceeds
-        its associativity, and that no set holds duplicate tags.
+        catches bit flips in the index range of a tag), that empty slots
+        come last in their set, and that no set holds duplicate tags.
         """
         from repro.errors import StateCorruptionError
 
-        if self.ways == 1:
-            for index, tag in enumerate(self._tags):
-                if tag != INVALID and (tag & self.index_mask) != index:
+        tags = list(self._tags)
+        for index in range(self.sets):
+            seen = set()
+            empty = False
+            for slot in range(index * self.ways, (index + 1) * self.ways):
+                tag = int(tags[slot])
+                if tag == INVALID:
+                    empty = True
+                    continue
+                if (tag & self.index_mask) != index:
                     raise StateCorruptionError(
                         f"{name}: tag {tag:#x} stored at set {index} does not "
                         f"map there",
                         details={"structure": name, "set": index, "tag": tag},
                     )
-            return
-        for index, entry_set in enumerate(self._sets):
-            if len(entry_set) > self.ways:
-                raise StateCorruptionError(
-                    f"{name}: set {index} holds {len(entry_set)} lines, "
-                    f"associativity is {self.ways}",
-                    details={"structure": name, "set": index},
-                )
-            seen = set()
-            for tag, _ in entry_set:
-                if (tag & self.index_mask) != index:
+                if empty:
                     raise StateCorruptionError(
-                        f"{name}: tag {tag:#x} stored at set {index} does not "
-                        f"map there",
+                        f"{name}: set {index} holds tag {tag:#x} behind an "
+                        f"empty slot",
                         details={"structure": name, "set": index, "tag": tag},
                     )
                 if tag in seen:

@@ -1,8 +1,8 @@
-"""L1-D write-policy handlers, shared by every engine.
+"""L1-D write-policy handlers of the reference engine.
 
 One function pair per :class:`~repro.core.config.WritePolicy` — a store
-handler and a load-miss handler — extracted from ``MemorySystem`` so the
-reference and batched engines execute the *same* code on every event.
+handler and a load-miss handler — extracted from ``MemorySystem``; the
+native engine's kernel (``native.c``) ports them line for line.
 :func:`resolve_policy` maps a policy to its pair once; the memory system
 binds the pair as methods at construction, so the hot loops pay a plain
 attribute call, never a per-access branch chain.

@@ -1,6 +1,6 @@
 """The reference engine: the original per-instruction Python loop.
 
-This is the semantic ground truth the batched engine is verified against.
+This is the semantic ground truth the native engine is verified against.
 One instruction per iteration: instruction fetch (inlined direct-mapped
 L1-I hit check), optional data access (inlined universal L1-D load-hit
 check), TLB probes on page crossings, and cycle accounting into the
@@ -29,9 +29,22 @@ class ReferenceEngine(Engine):
 
     name = "reference"
 
+    def __init__(self, ms):
+        super().__init__(ms)
+        self.on_state_loaded()
+
+    def on_state_loaded(self) -> None:
+        """Take the state arrays as plain lists, the fastest thing to
+        index from Python (a run handed over by the native engine holds
+        NumPy arrays)."""
+        for owner, attr, _, _ in self.ms._shared_arrays():
+            values = getattr(owner, attr)
+            if not isinstance(values, list):
+                setattr(owner, attr, values.tolist())
+
     def run_slice(self, pcs: List[int], kinds: List[int], addrs: List[int],
                   partials: List[bool], syscalls: List[bool],
-                  start: int, deadline: int, np_cols=None) -> SliceResult:
+                  start: int, deadline: int) -> SliceResult:
         ms = self.ms
         now = ms.now
         st = ms.stats

@@ -1,9 +1,10 @@
-"""Miss and refill timing shared by every engine.
+"""Miss and refill timing of the reference engine.
 
 These are the cycle-accounting rules of Sections 2, 6, 8 and 9 of the
-paper, extracted from ``MemorySystem`` so the hot loops (reference and
-batched) and the write-policy handlers (:mod:`repro.core.engine.policies`)
-call one implementation.  Every function takes the memory system as its
+paper, extracted from ``MemorySystem`` so the reference loop and the
+write-policy handlers (:mod:`repro.core.engine.policies`) call one
+implementation; the native engine's kernel (``native.c``) ports them
+line for line.  Every function takes the memory system as its
 first argument and returns the advanced cycle counter; the memory system
 binds :func:`ifetch_miss` as a method at construction.
 """

@@ -6,8 +6,8 @@ advances it lives in a pluggable engine (:mod:`repro.core.engine`).  The
 fetch (with an inlined direct-mapped L1-I hit check), optional data access
 (with an inlined universal L1-D *load-hit* check), TLB probes on page
 crossings, and cycle accounting into the Fig. 4 stall components — while
-the ``batched`` engine vectorizes the all-hit runs between events and falls
-back to the same scalar handlers for everything else.
+the ``native`` engine runs the same loop and handlers compiled to C over
+the same state.
 
 Cycle-accounting rules (Sections 2, 6, 8, 9 of the paper):
 
@@ -42,6 +42,8 @@ from __future__ import annotations
 from types import MethodType
 from typing import List
 
+import numpy as np
+
 from repro.core.cache import INVALID
 from repro.core.config import BypassMode, SystemConfig, WritePolicy
 from repro.core.engine import (
@@ -50,7 +52,7 @@ from repro.core.engine import (
     REASON_SLICE,
     REASON_SYSCALL,
     SliceResult,
-    resolve_engine,
+    create_engine,
 )
 from repro.core.engine.policies import resolve_policy
 from repro.core.engine.timing import ifetch_miss
@@ -87,9 +89,12 @@ class MemorySystem:
 
     Args:
         config: the architecture under test.
-        engine: execution strategy for :meth:`run_slice` — ``"reference"``
-            (exact scalar loop) or ``"batched"`` (vectorized hit path,
-            bit-identical statistics; see :mod:`repro.core.engine`).
+        engine: execution strategy for :meth:`run_slice` — ``"native"``
+            (the compiled hot path, the default) or ``"reference"`` (the
+            exact Python loop); statistics are bit-identical (see
+            :mod:`repro.core.engine`).  The tag/flag arrays are plain
+            lists under ``reference`` and NumPy arrays under ``native``;
+            a native engine that cannot run falls back to ``reference``.
         energy: optional energy accounting — ``None`` (free: no code runs,
             energy fields stay zero), a technology name from
             :data:`repro.energy.ENERGY_TECHNOLOGIES`, or a ready
@@ -178,9 +183,9 @@ class MemorySystem:
 
             self.energy = resolve_accountant(energy, config)
 
-        # ----- Engine (validates the name; may re-represent the tag arrays).
-        self.engine = resolve_engine(engine)(self)
+        # ----- Engine (validates the name; may re-represent the arrays).
         self.engine_name = engine
+        self.engine = create_engine(engine, self)
 
     # ------------------------------------------------------------------ admin
 
@@ -197,6 +202,28 @@ class MemorySystem:
         st.itlb_misses = self.itlb.misses
         st.dtlb_probes = self.dtlb.probes
         st.dtlb_misses = self.dtlb.misses
+
+    def _shared_arrays(self):
+        """``(owner, attribute, dtype, length)`` of every state array an
+        engine may re-represent, in kernel order: the L1 columns, the TLB
+        slots, and each distinct L2 half's slots (one half when
+        unified)."""
+        lines_i = self.config.icache.lines
+        lines_d = self.config.dcache.lines
+        columns = [(self, "_itags", np.int64, lines_i)]
+        for attr in ("_dtags", "_ddirty", "_dwrite_only", "_dvalid"):
+            columns.append((self, attr, np.int64, lines_d))
+        for tlb in (self.itlb, self.dtlb):
+            columns.append((tlb, "_pids", np.int64, tlb.entries))
+            columns.append((tlb, "_vpages", np.int64, tlb.entries))
+        halves = [self.l2.instruction_half]
+        if self.l2.data_half is not self.l2.instruction_half:
+            halves.append(self.l2.data_half)
+        for half in halves:
+            slots = half.sets * half.ways
+            columns.append((half, "_tags", np.int64, slots))
+            columns.append((half, "_dirty", np.bool_, slots))
+        return columns
 
     # ------------------------------------------------------------- robustness
 
@@ -282,8 +309,7 @@ class MemorySystem:
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"malformed memory-system snapshot: {exc}") from exc
-        # The engine may keep a derived representation of the tag arrays
-        # (the batched engine uses numpy); let it rebuild.
+        # The arrays were replaced by lists; let the engine adopt them.
         self.engine.on_state_loaded()
 
     def check_invariants(self) -> None:
@@ -308,7 +334,7 @@ class MemorySystem:
         from repro.errors import StateCorruptionError
 
         i_mask = self._i_mask
-        for index, tag in enumerate(self._itags):
+        for index, tag in enumerate(_as_list(self._itags)):
             if tag != INVALID and (tag & i_mask) != index:
                 raise StateCorruptionError(
                     f"L1-I tag {tag:#x} stored at line {index} does not map "
@@ -320,10 +346,13 @@ class MemorySystem:
         epoch = self._dirty_epoch
         full_valid = self._d_full_valid
         write_only_policy = self.config.write_policy is WritePolicy.WRITE_ONLY
-        for index, tag in enumerate(self._dtags):
-            dirty = self._ddirty[index]
-            write_only = self._dwrite_only[index]
-            valid = self._dvalid[index]
+        ddirty = _as_list(self._ddirty)
+        dwrite_only = _as_list(self._dwrite_only)
+        dvalid = _as_list(self._dvalid)
+        for index, tag in enumerate(_as_list(self._dtags)):
+            dirty = ddirty[index]
+            write_only = dwrite_only[index]
+            valid = dvalid[index]
             if dirty > epoch:
                 raise StateCorruptionError(
                     f"L1-D line {index} dirty epoch {dirty} exceeds the "
@@ -392,22 +421,20 @@ class MemorySystem:
 
     # --------------------------------------------------------------- hot loop
 
-    def run_slice(self, pcs: List[int], kinds: List[int], addrs: List[int],
-                  partials: List[bool], syscalls: List[bool],
-                  start: int, deadline: int, np_cols=None) -> SliceResult:
+    def run_slice(self, pcs, kinds, addrs, partials, syscalls,
+                  start: int, deadline: int) -> SliceResult:
         """Execute instructions ``start..`` until the batch ends, a system
         call is executed, or ``deadline`` (absolute cycle) is reached.
 
-        The five columns must be plain Python lists (see
-        ``repro.sched.process.PreparedBatch``), already translated to
-        physical addresses; ``np_cols`` optionally carries the
-        ``(pcs, kinds, addrs, syscalls)`` NumPy columns so the batched
-        engine avoids re-converting.  Execution is delegated to the
-        configured engine (:mod:`repro.core.engine`); every engine
-        produces bit-identical statistics and state.
+        The five columns are already translated to physical addresses:
+        NumPy arrays for a ``columnar`` engine, plain lists otherwise (see
+        ``repro.sched.process.PreparedBatch``); the native engine also
+        converts lists.  Execution is delegated to the configured engine
+        (:mod:`repro.core.engine`); every engine produces bit-identical
+        statistics and state.
         """
         return self.engine.run_slice(pcs, kinds, addrs, partials, syscalls,
-                                     start, deadline, np_cols=np_cols)
+                                     start, deadline)
 
     # ------------------------------------------------------------- inspection
 
@@ -437,3 +464,8 @@ class MemorySystem:
             "write_only": bool(self._dwrite_only[index]),
             "valid_mask": int(self._dvalid[index]),
         }
+
+
+def _as_list(values):
+    """A state column as a list of Python ints (NumPy under ``native``)."""
+    return values.tolist() if isinstance(values, np.ndarray) else values

@@ -67,8 +67,9 @@ class Simulation:
     #: ``"raise"`` rejects corrupt trace batches; ``"skip"`` drops and counts
     #: the offending records (``SimStats.trace_records_skipped``).
     trace_errors: str = "raise"
-    #: Execution engine (``"reference"`` or ``"batched"``); engines are
-    #: bit-identical, ``"batched"`` trades exactness checks for speed.
+    #: Execution engine: ``"native"`` (the compiled hot path, default) or
+    #: ``"reference"`` (the Python loop that explains it); engines are
+    #: bit-identical.
     engine: str = DEFAULT_ENGINE
     #: Optional runtime invariant auditing
     #: (:class:`repro.robust.audit.AuditConfig`).

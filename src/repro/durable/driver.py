@@ -115,7 +115,10 @@ class DurableRun:
         scenarios = sorted({spec.scenario for spec in specs
                             if getattr(spec, "scenario", None)})
         meta = {"scenario_sha256": scenarios[0]} if len(scenarios) == 1 \
-            else ({"scenario_sha256": scenarios} if scenarios else None)
+            else ({"scenario_sha256": scenarios} if scenarios else {})
+        engines = {getattr(spec, "engine", None) for spec in specs}
+        if len(engines) == 1 and None not in engines:
+            meta["engine"] = engines.pop()
         self.state, resumed = self.journal.open_run(self._keys, labels,
                                                     meta=meta)
         recovered: Dict[int, Any] = {}

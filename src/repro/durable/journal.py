@@ -354,6 +354,10 @@ class RunJournal:
         sweep = sweep_sha256(point_keys)
         resumed = bool(records)
         if resumed:
+            from repro.core.engine import check_recorded_engine
+
+            check_recorded_engine(state.meta.get("engine"),
+                                  f"journal {self.path}")
             if state.sweep_sha256 != sweep:
                 raise JournalError(
                     f"journal {self.path} describes a different sweep "

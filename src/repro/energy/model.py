@@ -5,7 +5,7 @@ one per class of memory-system event, derived from the same technology
 description (:mod:`repro.tech`) that gives the simulator its cycle counts.
 Integer costs are the load-bearing choice: total energy becomes an exact
 integer linear function of the :class:`~repro.core.stats.SimStats` event
-counters, so the reference and batched engines — which agree on every
+counters, so the reference and native engines — which agree on every
 counter by the lockstep contract — agree on every energy figure *exactly*,
 and a disabled run (no model) is bit-identical to a run that predates the
 subsystem.

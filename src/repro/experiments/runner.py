@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 import repro.obs as obs
-from repro.core.engine import DEFAULT_ENGINE, ENGINE_NAMES
+from repro.core.engine import DEFAULT_ENGINE, ENGINE_NAMES, engine_arg
 from repro.errors import FarmCancelled, cli_errors
 from repro.experiments.common import (
     DEFAULT_SCALE,
@@ -116,11 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, default=None,
                         help="run a custom machine from a SystemConfig "
                              "JSON file (ignores experiment ids)")
-    parser.add_argument("--engine", choices=list(ENGINE_NAMES),
+    parser.add_argument("--engine", type=engine_arg,
+                        metavar="{" + ",".join(ENGINE_NAMES) + "}",
                         default=DEFAULT_ENGINE,
                         help="simulation engine for every sweep point "
-                             "(engines are bit-identical; 'batched' "
-                             "vectorizes the hit path)")
+                             "(engines are bit-identical; 'native' "
+                             "runs the compiled hot path, 'reference' "
+                             "the Python loop)")
     parser.add_argument("--energy", choices=_energy_choices(), default=None,
                         help="enable per-event energy accounting under this "
                              "technology for every sweep point (default: "

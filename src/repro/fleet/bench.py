@@ -4,7 +4,7 @@ The repo commits its benchmark outcomes as ``BENCH_*.json`` trajectory
 files (engine speedups, farm scaling, serve warm/cold, obs overhead).
 This module compares a **fresh** run of the same benchmark against the
 committed file and flags regressions — the ratchet that keeps "the
-batched engine is 3x faster" true across PRs.
+native engine is no slower than reference" true across PRs.
 
 The one idea that makes the comparison honest: committed numbers were
 recorded on *some* machine, the fresh run happens on *this* machine, so
@@ -80,7 +80,7 @@ def _extract_engine(doc: Dict[str, Any]) -> List[Metric]:
                           wl.get("engine_speedup")))
         out.append(Metric(f"{name}.end_to_end_speedup",
                           wl.get("end_to_end_speedup")))
-        for variant in ("reference", "batched"):
+        for variant in ("reference", "native"):
             rate = (wl.get(variant) or {}).get("engine_instr_per_s")
             out.append(Metric(f"{name}.{variant}.engine_instr_per_s",
                               rate, portable=False))

@@ -27,7 +27,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.params import MAX_PROCESSES, PAGE_WORDS, is_power_of_two
+from repro.params import MAX_PROCESSES, PAGE_WORDS, is_power_of_two, log2i
 
 #: Default number of page colors.  256 colors x 4 KW pages = 1024 KW, enough
 #: to keep index bits stable for every cache size the paper sweeps.
@@ -35,6 +35,9 @@ DEFAULT_COLORS = 256
 
 #: PID stride for color bin-hopping (odd, so every color is reachable).
 _PID_COLOR_STRIDE = 97
+
+_NO_PAGES = np.zeros(0, dtype=np.int64)
+_PAGE_SHIFT = log2i(PAGE_WORDS)
 
 
 class PageTable:
@@ -50,6 +53,10 @@ class PageTable:
         self.colors = colors
         self._map: Dict[Tuple[int, int], int] = {}
         self._next_in_color = [0] * colors
+        #: Per pid, the sorted vpages :meth:`translate_batch` has seen and
+        #: their frames: a lookup cache over ``_map`` (frames never move,
+        #: so it only ever lacks entries, never holds stale ones).
+        self._known: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self._map)
@@ -80,17 +87,39 @@ class PageTable:
     def translate_batch(self, pid: int, word_addrs: np.ndarray) -> np.ndarray:
         """Vectorized translation of a batch of virtual word addresses.
 
-        First-touch allocation happens in address order within the batch for
-        pages not seen before, which is deterministic for a deterministic
-        trace.
+        Pages this pid has translated before are found with one
+        ``np.searchsorted`` over its sorted known pages; only pages never
+        seen go through :meth:`translate_page`, in ascending page order —
+        the order first-touch allocation has always used, so frames are
+        deterministic for a deterministic trace.
         """
-        vpages = word_addrs // PAGE_WORDS
-        offsets = word_addrs - vpages * PAGE_WORDS
-        unique_pages, inverse = np.unique(vpages, return_inverse=True)
-        frames = np.empty(len(unique_pages), dtype=np.int64)
-        for i, vpage in enumerate(unique_pages):
-            frames[i] = self.translate_page(pid, int(vpage))
-        return frames[inverse] * PAGE_WORDS + offsets
+        vpages = word_addrs >> _PAGE_SHIFT  # floor division by PAGE_WORDS
+        offsets = word_addrs & (PAGE_WORDS - 1)
+        known_pages, known_frames = self._known.get(pid, (_NO_PAGES,
+                                                          _NO_PAGES))
+        positions = np.searchsorted(known_pages, vpages)
+        if len(known_pages):
+            found = known_pages[np.minimum(positions,
+                                           len(known_pages) - 1)] == vpages
+        else:
+            found = np.zeros(len(vpages), dtype=bool)
+        if not found.all():
+            # Sort-based unique: np.unique's hash path keeps about 1 MB
+            # allocated for the rest of the process.
+            missing = np.sort(vpages[~found])
+            first = np.ones(len(missing), dtype=bool)
+            first[1:] = missing[1:] != missing[:-1]
+            new_pages = missing[first]
+            new_frames = np.array([self.translate_page(pid, int(vpage))
+                                   for vpage in new_pages], dtype=np.int64)
+            known_pages = np.concatenate([known_pages, new_pages])
+            known_frames = np.concatenate([known_frames, new_frames])
+            order = np.argsort(known_pages, kind="stable")
+            known_pages = known_pages[order]
+            known_frames = known_frames[order]
+            self._known[pid] = (known_pages, known_frames)
+            positions = np.searchsorted(known_pages, vpages)
+        return (known_frames[positions] << _PAGE_SHIFT) | offsets
 
     def color_of_frame(self, frame: int) -> int:
         """The color of a physical frame."""
@@ -99,6 +128,7 @@ class PageTable:
     def reset(self) -> None:
         """Forget all mappings (fresh machine)."""
         self._map.clear()
+        self._known.clear()
         self._next_in_color = [0] * self.colors
 
     # ------------------------------------------------------------- robustness
@@ -129,6 +159,7 @@ class PageTable:
             self._map = {(int(pid), int(vpage)): int(frame)
                          for pid, vpage, frame in state["map"]}
             self._next_in_color = next_in_color
+            self._known.clear()
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"malformed page-table snapshot: {exc}") from exc

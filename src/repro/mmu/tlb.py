@@ -18,9 +18,18 @@ from typing import List, Tuple
 from repro.errors import ConfigurationError
 from repro.params import is_power_of_two
 
+#: PID of an empty TLB slot.
+EMPTY = -1
+
 
 class TLB:
     """A PID-tagged set-associative TLB.
+
+    Entries live in two flat slot arrays, ``_pids`` and ``_vpages``: set
+    ``i`` owns slots ``i*ways .. i*ways+ways-1``, most recently used
+    first, empty slots (pid ``-1``) last — the layout of
+    :class:`repro.core.cache.Cache`, which the native engine drives as
+    NumPy arrays.
 
     Args:
         entries: total entry count (power of two).
@@ -39,53 +48,76 @@ class TLB:
         self.ways = ways
         self.sets = entries // ways
         self.miss_penalty = miss_penalty
-        # Each set is an MRU-ordered list of (pid, vpage) tags.
-        self._sets: List[List[Tuple[int, int]]] = [[] for _ in range(self.sets)]
+        self._pids: List[int] = [EMPTY] * entries
+        self._vpages: List[int] = [EMPTY] * entries
         self.probes = 0
         self.misses = 0
 
     def access(self, pid: int, vpage: int) -> bool:
         """Probe for (pid, vpage); refill on miss.  Returns True on a hit."""
         self.probes += 1
-        index = vpage & (self.sets - 1)
-        entry_set = self._sets[index]
-        tag = (pid, vpage)
-        try:
-            position = entry_set.index(tag)
-        except ValueError:
-            self.misses += 1
-            entry_set.insert(0, tag)
-            if len(entry_set) > self.ways:
-                entry_set.pop()
-            return False
-        if position:
-            del entry_set[position]
-            entry_set.insert(0, tag)
-        return True
+        pids = self._pids
+        vpages = self._vpages
+        base = (vpage & (self.sets - 1)) * self.ways
+        if vpages[base] == vpage and pids[base] == pid:
+            return True
+        last = base + self.ways - 1
+        for slot in range(base + 1, last + 1):
+            if vpages[slot] == vpage and pids[slot] == pid:
+                vpages[base + 1:slot + 1] = vpages[base:slot]
+                pids[base + 1:slot + 1] = pids[base:slot]
+                vpages[base] = vpage
+                pids[base] = pid
+                return True
+        self.misses += 1
+        vpages[base + 1:last + 1] = vpages[base:last]
+        pids[base + 1:last + 1] = pids[base:last]
+        vpages[base] = vpage
+        pids[base] = pid
+        return False
+
+    def _set_entries(self) -> List[List[Tuple[int, int]]]:
+        """Per set, the resident ``(pid, vpage)`` tags, MRU first."""
+        pids = list(self._pids)
+        vpages = list(self._vpages)
+        return [[(int(pids[slot]), int(vpages[slot]))
+                 for slot in range(base, base + self.ways)
+                 if pids[slot] != EMPTY]
+                for base in range(0, self.entries, self.ways)]
 
     def contains(self, pid: int, vpage: int) -> bool:
         """Non-mutating lookup (no LRU update, no counters)."""
-        index = vpage & (self.sets - 1)
-        return (pid, vpage) in self._sets[index]
+        base = (vpage & (self.sets - 1)) * self.ways
+        return any(self._pids[slot] == pid and self._vpages[slot] == vpage
+                   for slot in range(base, base + self.ways))
 
     @property
     def miss_ratio(self) -> float:
         """Misses per probe."""
         return self.misses / self.probes if self.probes else 0.0
 
+    def _store_entries(self, sets: List[List[Tuple[int, int]]]) -> None:
+        pids = [EMPTY] * self.entries
+        vpages = [EMPTY] * self.entries
+        for index, entry_set in enumerate(sets):
+            for k, (pid, vpage) in enumerate(entry_set):
+                pids[index * self.ways + k] = pid
+                vpages[index * self.ways + k] = vpage
+        self._pids = pids
+        self._vpages = vpages
+
     def invalidate_pid(self, pid: int) -> int:
         """Drop all entries of one PID (process exit); returns entries dropped."""
-        dropped = 0
-        for entry_set in self._sets:
-            kept = [tag for tag in entry_set if tag[0] != pid]
-            dropped += len(entry_set) - len(kept)
-            entry_set[:] = kept
-        return dropped
+        sets = self._set_entries()
+        kept = [[tag for tag in entry_set if tag[0] != pid]
+                for entry_set in sets]
+        self._store_entries(kept)
+        return sum(map(len, sets)) - sum(map(len, kept))
 
     def flush(self) -> None:
         """Invalidate every entry (counters retained)."""
-        for entry_set in self._sets:
-            entry_set.clear()
+        self._pids = [EMPTY] * self.entries
+        self._vpages = [EMPTY] * self.entries
 
     def reset_counters(self) -> None:
         """Zero the probe/miss counters."""
@@ -98,7 +130,7 @@ class TLB:
         """Exact snapshot of entries (MRU order) and counters."""
         return {
             "sets": [[[pid, vpage] for pid, vpage in entry_set]
-                     for entry_set in self._sets],
+                     for entry_set in self._set_entries()],
             "probes": self.probes,
             "misses": self.misses,
         }
@@ -114,7 +146,12 @@ class TLB:
                 raise CheckpointError(
                     f"TLB snapshot has {len(sets)} sets, expected {self.sets}"
                 )
-            self._sets = sets
+            for index, entry_set in enumerate(sets):
+                if len(entry_set) > self.ways:
+                    raise CheckpointError(
+                        f"TLB snapshot set {index} holds {len(entry_set)} "
+                        f"entries, associativity is {self.ways}")
+            self._store_entries(sets)
             self.probes = int(state["probes"])
             self.misses = int(state["misses"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -125,19 +162,24 @@ class TLB:
         :class:`~repro.errors.StateCorruptionError` on violation."""
         from repro.errors import StateCorruptionError
 
-        for index, entry_set in enumerate(self._sets):
-            if len(entry_set) > self.ways:
+        pids = list(self._pids)
+        vpages = list(self._vpages)
+        for index in range(self.sets):
+            slots = range(index * self.ways, (index + 1) * self.ways)
+            tags = [(int(pids[slot]), int(vpages[slot])) for slot in slots]
+            live = [tag for tag in tags if tag[0] != EMPTY]
+            if tags[:len(live)] != live:
                 raise StateCorruptionError(
-                    f"{name}: set {index} holds {len(entry_set)} entries, "
-                    f"associativity is {self.ways}",
+                    f"{name}: set {index} holds an entry behind an empty "
+                    f"slot",
                     details={"structure": name, "set": index},
                 )
-            if len(set(entry_set)) != len(entry_set):
+            if len(set(live)) != len(live):
                 raise StateCorruptionError(
                     f"{name}: duplicate entry in set {index}",
                     details={"structure": name, "set": index},
                 )
-            for _, vpage in entry_set:
+            for _, vpage in live:
                 if (vpage & (self.sets - 1)) != index:
                     raise StateCorruptionError(
                         f"{name}: vpage {vpage:#x} stored in set {index} "

@@ -124,6 +124,7 @@ def resume(path: PathLike, engine: Optional[str] = None):
             checkpointed under one engine continues bit-identically
             under the other).
     """
+    from repro.core.engine import check_recorded_engine
     from repro.core.serialization import config_from_dict, profile_from_dict
     from repro.core.simulator import Simulation
     from repro.errors import ConfigurationError
@@ -142,6 +143,7 @@ def resume(path: PathLike, engine: Optional[str] = None):
         ) from exc
     if engine is not None:
         sim_kwargs["engine"] = engine
+    check_recorded_engine(sim_kwargs.get("engine"), f"checkpoint {path}")
     try:
         sim = Simulation(config=config, profiles=profiles, **sim_kwargs)
     except TypeError as exc:

@@ -58,6 +58,7 @@ import numpy as np
 
 from repro.core.cache import INVALID
 from repro.core.hierarchy import MemorySystem
+from repro.mmu.tlb import EMPTY
 from repro.trace.record import KIND_NONE, TraceBatch
 
 PathLike = Union[str, os.PathLike]
@@ -194,28 +195,24 @@ class FaultInjector:
     def flip_l2_tag(self, memsys: MemorySystem, bit: int = 0
                     ) -> Optional[dict]:
         """Flip one bit of a valid L2 data-side tag."""
-        cache = memsys.l2._dcache
-        if cache._tags is not None:
-            i = self._flip_direct_tag(cache._tags, bit, None)
-            if i is None:
-                return None
-            return self._note("flip_l2_tag", index=i, bit=bit)
-        occupied = [i for i, s in enumerate(cache._sets) if s]
-        if not occupied:
+        i = self._flip_direct_tag(memsys.l2._dcache._tags, bit, None)
+        if i is None:
             return None
-        i = occupied[int(self._rng.integers(len(occupied)))]
-        entry = cache._sets[i][0]
-        entry[0] ^= 1 << bit
         return self._note("flip_l2_tag", index=i, bit=bit)
 
     def corrupt_tlb(self, memsys: MemorySystem) -> Optional[dict]:
         """Duplicate an entry within a data-TLB set."""
         tlb = memsys.dtlb
-        occupied = [i for i, s in enumerate(tlb._sets) if s]
+        if tlb.ways < 2:
+            return None
+        occupied = [i for i in range(tlb.sets)
+                    if tlb._pids[i * tlb.ways] != EMPTY]
         if not occupied:
             return None
         i = occupied[int(self._rng.integers(len(occupied)))]
-        tlb._sets[i].append(tlb._sets[i][0])
+        base = i * tlb.ways
+        tlb._pids[base + 1] = tlb._pids[base]
+        tlb._vpages[base + 1] = tlb._vpages[base]
         return self._note("corrupt_tlb", index=i)
 
     # ------------------------------------------------------- files on disk

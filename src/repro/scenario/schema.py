@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.core.engine import ENGINE_NAMES
+from repro.core.engine import ENGINE_NAMES, engine_hint
 from repro.core.serialization import did_you_mean, unknown_key_error
 from repro.errors import ConfigurationError
 
@@ -83,8 +83,7 @@ def _validate_engine(doc: Dict[str, Any]) -> None:
     name = section.get("name")
     if not isinstance(name, str) or name not in ENGINE_NAMES:
         raise ConfigurationError(
-            f"unknown engine.name {name!r}"
-            f"{did_you_mean(str(name), ENGINE_NAMES)}; "
+            f"unknown engine.name {name!r}{engine_hint(name)}; "
             f"available engines: {', '.join(ENGINE_NAMES)}")
 
 

@@ -3,8 +3,9 @@
 The paper's simulator multiplexes per-benchmark trace pipes through file
 descriptors; here each :class:`Process` pulls batches from its trace source,
 translates them to physical addresses through the shared page table (page
-coloring preserves cache index bits), and hands the simulator plain Python
-lists — the fastest thing to iterate in the hot loop.
+coloring preserves cache index bits), and hands the simulator the NumPy
+columns (the native engine's input) or, built on first request, plain
+Python lists (the fastest thing for the reference loop to iterate).
 
 Every batch is validated before it reaches the hot loop: a corrupt trace
 record (unknown access kind, negative address, mismatched column lengths)
@@ -27,34 +28,60 @@ from repro.trace.stream import TraceSource
 
 
 class PreparedBatch:
-    """One trace batch, physically translated and converted to lists."""
+    """One trace batch, physically translated.
 
-    __slots__ = ("pcs", "kinds", "addrs", "partials", "syscalls", "dropped",
-                 "np_cols")
+    ``arrays`` holds the five columns (``pcs``, ``kinds``, ``addrs``,
+    ``partials``, ``syscalls``) as NumPy arrays; ``lists`` converts them to
+    plain lists on first use and keeps the result, so only consumers that
+    iterate in Python (the reference engine, the lockstep auditor) pay
+    for the conversion.
+    """
 
-    def __init__(self, pcs: List[int], kinds: List[int], addrs: List[int],
-                 partials: List[bool], syscalls: List[bool],
-                 dropped: int = 0, np_cols=None):
-        self.pcs = pcs
-        self.kinds = kinds
-        self.addrs = addrs
-        self.partials = partials
-        self.syscalls = syscalls
+    __slots__ = ("arrays", "dropped", "_lists")
+
+    def __init__(self, pcs: np.ndarray, kinds: np.ndarray,
+                 addrs: np.ndarray, partials: np.ndarray,
+                 syscalls: np.ndarray, dropped: int = 0):
+        self.arrays = (pcs, kinds, addrs, partials, syscalls)
         #: Malformed records dropped during preparation (skip mode only).
         self.dropped = dropped
-        #: Optional ``(pcs, kinds, addrs, syscalls)`` as NumPy arrays —
-        #: the same columns before list conversion.  The batched engine
-        #: builds its per-batch index from these without re-converting;
-        #: the scalar engines ignore them.
-        self.np_cols = np_cols
+        self._lists = None
+
+    @property
+    def lists(self) -> Tuple[List[int], List[int], List[int], List[bool],
+                             List[bool]]:
+        """The five columns as plain lists (converted once, then kept)."""
+        if self._lists is None:
+            self._lists = tuple(column.tolist() for column in self.arrays)
+        return self._lists
+
+    @property
+    def pcs(self) -> List[int]:
+        return self.lists[0]
+
+    @property
+    def kinds(self) -> List[int]:
+        return self.lists[1]
+
+    @property
+    def addrs(self) -> List[int]:
+        return self.lists[2]
+
+    @property
+    def partials(self) -> List[bool]:
+        return self.lists[3]
+
+    @property
+    def syscalls(self) -> List[bool]:
+        return self.lists[4]
 
     def __len__(self) -> int:
-        return len(self.pcs)
+        return len(self.arrays[0])
 
     @staticmethod
     def from_batch(batch: TraceBatch, pid: int, page_table: PageTable,
                    trace_errors: str = "raise") -> "PreparedBatch":
-        """Translate a virtual-address batch into physical lists.
+        """Translate a virtual-address batch into physical columns.
 
         Args:
             batch: the raw virtual-address batch.
@@ -87,15 +114,8 @@ class PreparedBatch:
                 batch = batch[~bad]
         pc_phys = page_table.translate_batch(pid, batch.pc)
         addr_phys = page_table.translate_batch(pid, batch.addr)
-        return PreparedBatch(
-            pcs=pc_phys.tolist(),
-            kinds=batch.kind.tolist(),
-            addrs=addr_phys.tolist(),
-            partials=batch.partial.tolist(),
-            syscalls=batch.syscall.tolist(),
-            dropped=dropped,
-            np_cols=(pc_phys, batch.kind, addr_phys, batch.syscall),
-        )
+        return PreparedBatch(pc_phys, batch.kind, addr_phys, batch.partial,
+                             batch.syscall, dropped=dropped)
 
 
 class Process:

@@ -114,9 +114,9 @@ class Scheduler:
             if batch is None:
                 reason = "terminated"
                 break
-            result = memsys.run_slice(batch.pcs, batch.kinds, batch.addrs,
-                                      batch.partials, batch.syscalls,
-                                      pos, deadline, np_cols=batch.np_cols)
+            columns = (batch.arrays if memsys.engine.columnar
+                       else batch.lists)
+            result = memsys.run_slice(*columns, pos, deadline)
             process.advance(result.consumed)
             self.instructions_run += result.consumed
             if auditor is not None:

@@ -161,7 +161,10 @@ def _hopeless_request(settings: ChaosSettings) -> Dict[str, Any]:
     config = base_architecture()
     from repro.core.serialization import config_to_dict, profile_to_dict
 
-    instructions = max(200_000, settings.instructions * 20)
+    # Sized for the native engine (several Minstr/s): well over ten times
+    # the deadline even before trace synthesis; the kill at the deadline
+    # bounds what it costs.
+    instructions = max(5_000_000, settings.instructions * 500)
     profiles = default_suite(instructions)[:settings.level]
     return {
         "config": config_to_dict(config),

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.core.engine import DEFAULT_ENGINE, ENGINE_NAMES
+from repro.core.engine import DEFAULT_ENGINE, ENGINE_NAMES, engine_arg
 from repro.errors import ServeError, cli_errors
 from repro.farm.cache import ResultCache
 
@@ -75,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--level", type=int, default=2,
                           help="multiprogramming level")
     simulate.add_argument("--time-slice", type=int, default=30000)
-    simulate.add_argument("--engine", choices=list(ENGINE_NAMES),
+    simulate.add_argument("--engine", type=engine_arg,
+                          metavar="{" + ",".join(ENGINE_NAMES) + "}",
                           default=DEFAULT_ENGINE,
                           help="simulation engine executing the point")
     simulate.add_argument("--deadline", type=float, default=None,

@@ -38,7 +38,11 @@ import hashlib
 import json
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.engine import DEFAULT_ENGINE, ENGINE_NAMES
+from repro.core.engine import (
+    DEFAULT_ENGINE,
+    ENGINE_NAMES,
+    unknown_engine_message,
+)
 from repro.core.serialization import config_from_dict, profile_from_dict
 from repro.core.stats import SimStats
 from repro.errors import ConfigurationError, ServeError
@@ -168,9 +172,7 @@ def parse_simulate_request(raw: bytes,
         deadline_s = float(deadline_s)
     engine = body.get("engine", DEFAULT_ENGINE)
     if not isinstance(engine, str) or engine not in ENGINE_NAMES:
-        raise ServeError(
-            f"unknown engine {engine!r} "
-            f"(available: {', '.join(ENGINE_NAMES)})", status=400)
+        raise ServeError(unknown_engine_message(engine), status=400)
     energy = body.get("energy")
     if energy is not None:
         from repro.energy import ENERGY_TECHNOLOGIES

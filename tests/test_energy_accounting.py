@@ -41,7 +41,7 @@ def run(suite, energy=None, engine="reference", **kwargs):
 class TestDisabledIsFree:
     """The hard constraint: no model, no difference."""
 
-    @pytest.mark.parametrize("engine", ("reference", "batched"))
+    @pytest.mark.parametrize("engine", ("reference", "native"))
     def test_disabled_energy_fields_stay_zero(self, suite, engine):
         stats = run(suite, energy=None, engine=engine)
         assert stats.energy_total_fj == 0
@@ -49,7 +49,7 @@ class TestDisabledIsFree:
         for cls in ENERGY_CLASSES:
             assert getattr(stats, f"energy_{cls}_fj") == 0
 
-    @pytest.mark.parametrize("engine", ("reference", "batched"))
+    @pytest.mark.parametrize("engine", ("reference", "native"))
     def test_enabled_changes_only_energy_fields(self, suite, engine):
         disabled = dataclasses.asdict(run(suite, energy=None, engine=engine))
         enabled = dataclasses.asdict(run(suite, energy="paper",

@@ -5,9 +5,9 @@ engine-lockstep contract *should* extend to energy for free — these tests
 make that checkable rather than assumed, running the fig4/fig5 experiment
 configurations, every write policy and bypass mode, and every energy
 technology under both engines and asserting the complete ``SimStats``
-(energy fields included) is equal field-for-field.  The batched engine's
-all-hit fast path accounts in bulk by construction (the accountant folds
-counters once per slice), which is exactly what these runs exercise.
+(energy fields included) is equal field-for-field.  The native engine
+folds its C counter block into SimStats once per slice and the accountant
+then prices the totals, which is exactly what these runs exercise.
 """
 
 import dataclasses
@@ -44,7 +44,7 @@ def run_both(config, profiles, level=1, time_slice=3_000, energy="paper",
              **kwargs):
     """Run the same workload under both engines with energy accounting."""
     out = []
-    for engine in ("reference", "batched"):
+    for engine in ("reference", "native"):
         sim = Simulation(config=config, profiles=profiles, level=level,
                          time_slice=time_slice, engine=engine,
                          energy=energy, **kwargs)
@@ -53,8 +53,8 @@ def run_both(config, profiles, level=1, time_slice=3_000, energy="paper",
 
 
 def assert_identical(config, profiles, **kwargs):
-    ref, bat = run_both(config, profiles, **kwargs)
-    assert dataclasses.asdict(ref) == dataclasses.asdict(bat)
+    ref, nat = run_both(config, profiles, **kwargs)
+    assert dataclasses.asdict(ref) == dataclasses.asdict(nat)
     assert ref.energy_total_fj > 0  # accounting actually happened
 
 

@@ -1,14 +1,15 @@
 """The MemorySystem's inlined L1 tag arrays against the reference
 :class:`repro.core.cache.Cache` model.
 
-``MemorySystem`` inlines its direct-mapped L1 lookups into flat lists
-for speed (and the batched engine vectorizes over those same lists);
-``Cache`` is the reference model that behaviour must match.  These
-tests drive a ``run_slice`` with a synthetic access stream while
-mirroring every reference into a shadow ``Cache``, then require the
-final resident lines, dirty bits, and miss counts to agree — under both
-engines, so the equivalence chain ``Cache == reference == batched``
-is closed on the tag-array level, not just on aggregate statistics.
+``MemorySystem`` inlines its direct-mapped L1 lookups into flat arrays
+(plain lists under the reference engine, the NumPy arrays the native
+kernel writes in place under ``native``); ``Cache`` is the reference
+model that behaviour must match.  These tests drive a ``run_slice`` with
+a synthetic access stream while mirroring every reference into a shadow
+``Cache``, then require the final resident lines, dirty bits, and miss
+counts to agree — under both engines, so the equivalence chain
+``Cache == reference == native`` is closed on the tag-array level, not
+just on aggregate statistics.
 """
 
 import random
@@ -91,8 +92,8 @@ def run_memsys(config, engine, columns):
 
 def assert_tags_match(ms, shadow, config):
     icache, dcache = shadow
-    assert ms._itags == icache._tags
-    assert ms._dtags == dcache._tags
+    assert [int(t) for t in ms._itags] == icache._tags
+    assert [int(t) for t in ms._dtags] == dcache._tags
     resident_dirty = [ms._dtags[i] != INVALID
                       and ms._ddirty[i] == ms._dirty_epoch
                       for i in range(len(ms._dtags))]

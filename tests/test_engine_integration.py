@@ -57,8 +57,8 @@ class TestStateVersioning:
 
 class TestCrossEngineResume:
     @pytest.mark.parametrize("first,second", [
-        ("reference", "batched"),
-        ("batched", "reference"),
+        ("reference", "native"),
+        ("native", "reference"),
     ])
     def test_resume_under_other_engine(self, tmp_path, suite, first, second):
         config = base_architecture()
@@ -89,10 +89,10 @@ class TestFarmCacheSeparation:
         config = base_architecture()
         cache = ResultCache(tmp_path / "cache")
         ref_key = point_key(config, suite, TIME_SLICE, engine="reference")
-        bat_key = point_key(config, suite, TIME_SLICE, engine="batched")
+        nat_key = point_key(config, suite, TIME_SLICE, engine="native")
         cache.put(ref_key, SimStats(), meta={"engine": "reference"})
         assert cache.get(ref_key) is not None
-        assert cache.get(bat_key) is None
+        assert cache.get(nat_key) is None
 
 
 class TestServeEngineField:

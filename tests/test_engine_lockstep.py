@@ -1,18 +1,18 @@
-"""Lockstep equivalence: the batched engine must be bit-identical to the
+"""Lockstep equivalence: the native engine must be bit-identical to the
 reference engine.
 
-The batched engine's whole contract is "same numbers, faster".  These
+The native engine's whole contract is "same numbers, faster".  These
 tests run both engines over the same workloads — the fig4/fig5/fig9
-experiment configurations, every write policy, every bypass mode,
-multiprogramming levels 1 and 4, short and long time slices — and
-assert the *complete* ``SimStats`` dataclass is equal field-for-field.
-A single diverging stall cycle fails the suite.
+experiment configurations, every write policy, every bypass mode, split
+and 2-way L2s, the L2-D dirty buffer, TLBs on and off,
+multiprogramming levels 1, 4 and 8, short and long time slices — and
+assert the *complete* ``SimStats`` dataclass is equal field-for-field,
+and the complete memory-system snapshot with it.  A single diverging
+stall cycle, tag or LRU order fails the suite.
 
-A second battery drives ``MemorySystem.run_slice`` directly with
-adversarial hand-built columns (dense index conflicts, partial-word
-stores, syscalls on page crossings) that real synthetic traces rarely
-concentrate, checking the chunk head/repair machinery where it is most
-stressed.
+A second battery uses adversarial profiles (dense index conflicts,
+partial-word stores, frequent syscalls) that real synthetic traces
+rarely concentrate.
 """
 
 import dataclasses
@@ -50,19 +50,27 @@ ALL_POLICIES = (
 
 
 def run_both(config, profiles, level=1, time_slice=3_000, **kwargs):
-    """Run the same workload under both engines; return their stats."""
+    """Run the same workload under both engines; return the simulations."""
     out = []
-    for engine in ("reference", "batched"):
+    for engine in ("reference", "native"):
         sim = Simulation(config=config, profiles=profiles, level=level,
                          time_slice=time_slice, engine=engine, **kwargs)
-        out.append(sim.run())
+        sim.run()
+        assert sim.memsys.engine.name == engine
+        out.append(sim)
     return out
 
 
 def assert_identical(config, profiles, level=1, time_slice=3_000, **kwargs):
-    ref, bat = run_both(config, profiles, level=level,
+    ref, nat = run_both(config, profiles, level=level,
                         time_slice=time_slice, **kwargs)
-    assert dataclasses.asdict(ref) == dataclasses.asdict(bat)
+    assert (dataclasses.asdict(ref.memsys.stats)
+            == dataclasses.asdict(nat.memsys.stats))
+    ref_state = ref.memsys.state_dict()
+    nat_state = nat.memsys.state_dict()
+    assert ref_state.pop("engine") == "reference"
+    assert nat_state.pop("engine") == "native"
+    assert ref_state == nat_state
 
 
 @pytest.fixture(scope="module")
@@ -110,10 +118,63 @@ class TestExperimentConfigs:
         assert_identical(config, suite[:2])
 
 
+class TestMachineShapes:
+    """L2 organizations, the dirty buffer and the TLB switch."""
+
+    @pytest.mark.parametrize("ways", (1, 2))
+    @pytest.mark.parametrize("split", (False, True))
+    def test_l2_organizations(self, suite, ways, split):
+        config = base_architecture().with_(
+            name=f"l2-{ways}way-{'split' if split else 'unified'}",
+            l2=L2Config(size_words=16 * 1024, line_words=32, ways=ways,
+                        split=split))
+        assert_identical(config, suite[:3], level=3, time_slice=2_000)
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES,
+                             ids=lambda p: p.value)
+    def test_dirty_buffer(self, suite, policy):
+        buffer = (base_write_buffer() if policy is WritePolicy.WRITE_BACK
+                  else write_through_buffer())
+        config = base_architecture().with_(
+            name=f"dirty-buffer-{policy.value}", write_policy=policy,
+            write_buffer=buffer,
+            l2=L2Config(size_words=8 * 1024, line_words=32, split=True),
+            concurrency=ConcurrencyConfig(l2_dirty_buffer=True,
+                                          i_refill_during_wb_drain=True))
+        assert_identical(config, suite[:2], time_slice=2_000)
+
+    @pytest.mark.parametrize("bypass", (BypassMode.NONE,
+                                        BypassMode.ASSOCIATIVE))
+    @pytest.mark.parametrize("policy", ALL_POLICIES[1:],
+                             ids=lambda p: p.value)
+    def test_write_through_bypass_grid(self, suite, policy, bypass):
+        config = base_architecture().with_(
+            name=f"{policy.value}-{bypass.value}", write_policy=policy,
+            write_buffer=write_through_buffer(),
+            concurrency=ConcurrencyConfig(bypass=bypass))
+        assert_identical(config, suite[:2])
+
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_tlb_switch(self, suite, enabled):
+        config = base_architecture().with_(
+            name=f"tlb-{enabled}", tlb=TLBConfig(enabled=enabled))
+        assert_identical(config, suite[:4], level=4, time_slice=1_000)
+
+
 class TestSchedulingShapes:
     def test_multiprogrammed(self, suite):
         assert_identical(base_architecture(), suite[:4], level=4,
                          time_slice=1_500)
+
+    def test_level_eight_base_slice(self, suite):
+        # The base scenario's shape: eight processes, 100k-cycle slices.
+        assert_identical(base_architecture(), suite[:8], level=8,
+                         time_slice=100_000)
+
+    def test_level_eight_fig3_slice(self, suite):
+        # Fig. 3's shortest slice at level 8: context switches dominate.
+        assert_identical(base_architecture(), suite[:8], level=8,
+                         time_slice=10_000)
 
     def test_tiny_time_slice(self, suite):
         # Slices far smaller than a chunk: the budget cap and the
@@ -139,7 +200,8 @@ class TestSchedulingShapes:
 
 
 class TestAdversarialColumns:
-    """Hand-built traces that concentrate the batched engine's edge cases."""
+    """Profiles that concentrate conflict, partial-store and syscall
+    edge cases."""
 
     @staticmethod
     def _conflict_profile(seed):
@@ -198,5 +260,9 @@ class TestEngineSelection:
 
     def test_engine_recorded_in_state(self, suite):
         sim = Simulation(config=base_architecture(), profiles=suite[:1],
-                         engine="batched")
-        assert sim.state_dict()["simulation"]["engine"] == "batched"
+                         engine="native")
+        assert sim.state_dict()["simulation"]["engine"] == "native"
+
+    def test_native_is_the_default(self, suite):
+        sim = Simulation(config=base_architecture(), profiles=suite[:1])
+        assert sim.memsys.engine.name == "native"

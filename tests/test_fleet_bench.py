@@ -21,7 +21,7 @@ ENGINE_DOC = {
             "engine_speedup": 3.0,
             "end_to_end_speedup": 1.9,
             "reference": {"engine_instr_per_s": 4_000_000},
-            "batched": {"engine_instr_per_s": 12_000_000},
+            "native": {"engine_instr_per_s": 12_000_000},
         },
     },
     "passed": True,
@@ -46,7 +46,7 @@ class TestExtractors:
     def test_rates_are_marked_machine_bound(self):
         by_key = {m.key: m for m in extract_metrics(ENGINE_DOC)}
         assert by_key["hot_loop.engine_speedup"].portable
-        assert not by_key["hot_loop.batched.engine_instr_per_s"].portable
+        assert not by_key["hot_loop.native.engine_instr_per_s"].portable
 
     def test_obs_overheads_regress_upward(self):
         by_key = {m.key: m for m in extract_metrics(OBS_DOC)}
@@ -89,7 +89,7 @@ class TestDiff:
 
     def test_rates_skipped_by_default_compared_on_request(self):
         fresh = copy.deepcopy(ENGINE_DOC)
-        fresh["workloads"]["hot_loop"]["batched"][
+        fresh["workloads"]["hot_loop"]["native"][
             "engine_instr_per_s"] = 1_000_000  # 12x slower
         lenient = diff_trajectory(ENGINE_DOC, fresh)
         assert lenient["ok"]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.mmu.page_table import PageTable
@@ -97,3 +99,62 @@ class TestBatchTranslation:
         # but translation must again be stable.
         after = table.translate_page(1, 3)
         assert table.translate_page(1, 3) == after
+
+
+def unique_translate_batch(table, pid, word_addrs):
+    """The previous ``translate_batch``: one ``np.unique`` over every page
+    of the batch, each translated in ascending order.  Kept as the oracle
+    the incremental lookup must match array for array and map for map."""
+    vpages = word_addrs // PAGE_WORDS
+    offsets = word_addrs - vpages * PAGE_WORDS
+    unique_pages, inverse = np.unique(vpages, return_inverse=True)
+    frames = np.empty(len(unique_pages), dtype=np.int64)
+    for i, vpage in enumerate(unique_pages):
+        frames[i] = table.translate_page(pid, int(vpage))
+    return frames[inverse.reshape(-1)] * PAGE_WORDS + offsets
+
+
+_batches = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=5),
+              st.lists(st.integers(min_value=0, max_value=64 * PAGE_WORDS),
+                       min_size=0, max_size=40)),
+    min_size=1, max_size=12)
+
+
+class TestIncrementalBatchTranslation:
+    @settings(max_examples=80, deadline=None)
+    @given(batches=_batches, colors=st.sampled_from([4, 16, 256]))
+    def test_matches_the_unique_oracle(self, batches, colors):
+        fast, oracle = PageTable(colors), PageTable(colors)
+        for pid, addrs in batches:
+            addrs = np.array(addrs, dtype=np.int64)
+            np.testing.assert_array_equal(
+                fast.translate_batch(pid, addrs),
+                unique_translate_batch(oracle, pid, addrs))
+            assert fast.state_dict() == oracle.state_dict()
+
+    @settings(max_examples=40, deadline=None)
+    @given(batches=_batches)
+    def test_direct_translations_in_between(self, batches):
+        # Pages first touched through translate() mid-run (no batch cache
+        # entry yet) must come back with the frame they were given.
+        fast, oracle = PageTable(), PageTable()
+        for step, (pid, addrs) in enumerate(batches):
+            probe = step * 3 * PAGE_WORDS + 7
+            assert fast.translate(pid, probe) == oracle.translate(pid, probe)
+            addrs = np.array(addrs, dtype=np.int64)
+            np.testing.assert_array_equal(
+                fast.translate_batch(pid, addrs),
+                unique_translate_batch(oracle, pid, addrs))
+        assert fast.state_dict() == oracle.state_dict()
+
+    def test_reset_and_load_state_forget_the_lookup(self):
+        table = PageTable()
+        addrs = np.arange(0, 8 * PAGE_WORDS, 1000, dtype=np.int64)
+        first = table.translate_batch(1, addrs)
+        snapshot = table.state_dict()
+        table.reset()
+        other = table.translate_batch(2, addrs)  # takes the same colors
+        table.load_state(snapshot)
+        np.testing.assert_array_equal(table.translate_batch(1, addrs), first)
+        assert not np.array_equal(other, first)

@@ -121,7 +121,7 @@ description = "generic L2 access-time probe"
 name = "bad"
 """ + TINY_WORKLOAD + """
 [sweep.axes]
-"engine.name" = ["reference", "batched"]
+"engine.name" = ["reference", "native"]
 """)
         assert main(["run", str(path), "--no-cache"]) == 1
         assert "machine" in capsys.readouterr().err

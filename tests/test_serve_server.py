@@ -93,6 +93,13 @@ class TestSimulate:
         assert status == 400
         assert "error" in body and "Traceback" not in body["error"]
 
+    def test_retired_engine_is_400_listing_engines(self, server):
+        status, body, _ = post_raw(server, {**request_body(),
+                                            "engine": "batched"})
+        assert status == 400
+        assert "did you mean 'native'" in body["error"]
+        assert "available: reference, native" in body["error"]
+
     def test_client_refuses_to_retry_a_400(self, server):
         with pytest.raises(ServeError) as excinfo:
             no_retry_client(server).simulate({"nonsense": True})
