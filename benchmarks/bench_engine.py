@@ -12,10 +12,14 @@ tracing disabled (the default):
   times the slices and context switches, so per-call overheads show.
 
 For each run the engine's own time (``MemorySystem.run_slice``) is
-measured separately from total wall clock: trace synthesis, address
-translation, and scheduling are identical work for both engines, so
-``engine_speedup`` is the figure the engine controls, while
-``end_to_end_speedup`` shows what a full simulation gains.  Runs are
+measured separately from total wall clock, and so is batch prep: trace
+synthesis (``trace_s``, the sources' ``next_batch``) plus address
+translation (``translate_s``, ``PageTable.translate_batch``), summed in
+``prep_s``.  Synthesis is identical work for both engines; translation
+is not, because the page lookup follows the engine (compiled under
+``native``, NumPy under ``reference``).  ``engine_speedup`` is the figure
+the engine controls, ``prep_speedup`` the one its page lookup controls,
+and ``end_to_end_speedup`` what a full simulation gains.  Runs are
 interleaved (reference, native, reference, …) and the best of ``--reps``
 is kept, which is the standard defense against noisy hosts.
 
@@ -80,48 +84,65 @@ def workloads(smoke: bool):
     }
 
 
-def timed_run(engine: str, workload: dict):
-    """One full simulation; returns (engine_seconds, total_seconds, stats)."""
-    sim = Simulation(engine=engine, **workload)
-    assert sim.memsys.engine.name == engine, "engine fell back"
-    inner = sim.memsys.engine.run_slice
-    spent = [0.0]
-
+def _timed(fn, spent: dict, key: str):
+    """``fn``, adding its wall time to ``spent[key]``."""
     def wrapped(*args, **kwargs):
         t0 = time.perf_counter()
-        result = inner(*args, **kwargs)
-        spent[0] += time.perf_counter() - t0
+        result = fn(*args, **kwargs)
+        spent[key] += time.perf_counter() - t0
         return result
 
-    sim.memsys.engine.run_slice = wrapped
+    return wrapped
+
+
+def timed_run(engine: str, workload: dict):
+    """One full simulation; returns (seconds by part, stats).  The parts
+    are ``engine_s``, ``trace_s``, ``translate_s`` and ``total_s``."""
+    sim = Simulation(engine=engine, **workload)
+    assert sim.memsys.engine.name == engine, "engine fell back"
+    spent = dict.fromkeys(("engine_s", "trace_s", "translate_s"), 0.0)
+    engine_impl = sim.memsys.engine
+    engine_impl.run_slice = _timed(engine_impl.run_slice, spent, "engine_s")
+    sim.page_table.translate_batch = _timed(sim.page_table.translate_batch,
+                                            spent, "translate_s")
+    for process in sim.scheduler._all_processes:
+        process.source.next_batch = _timed(process.source.next_batch,
+                                           spent, "trace_s")
     t0 = time.perf_counter()
     stats = sim.run()
-    total = time.perf_counter() - t0
-    return spent[0], total, stats
+    spent["total_s"] = time.perf_counter() - t0
+    return spent, stats
+
+
+_PARTS = ("engine_s", "trace_s", "translate_s", "total_s")
 
 
 def bench_workload(workload: dict, reps: int) -> dict:
-    best = {engine: [float("inf"), float("inf")] for engine in ENGINE_NAMES}
+    best = {engine: dict.fromkeys(_PARTS, float("inf"))
+            for engine in ENGINE_NAMES}
     stats = {}
     for _ in range(reps):
         for engine in ENGINE_NAMES:  # interleaved against host drift
-            engine_s, total_s, run_stats = timed_run(engine, workload)
-            best[engine][0] = min(best[engine][0], engine_s)
-            best[engine][1] = min(best[engine][1], total_s)
+            spent, run_stats = timed_run(engine, workload)
+            for part in _PARTS:
+                best[engine][part] = min(best[engine][part], spent[part])
             stats[engine] = dataclasses.asdict(run_stats)
     identical = all(stats[e] == stats["reference"] for e in ENGINE_NAMES)
     instructions = stats["reference"]["instructions"]
     result = {"instructions": instructions, "bit_identical": identical}
     for engine in ENGINE_NAMES:
-        engine_s, total_s = best[engine]
-        result[engine] = {"engine_s": round(engine_s, 4),
-                          "total_s": round(total_s, 4),
-                          "engine_instr_per_s": round(instructions
-                                                      / engine_s)}
-    ref_e, ref_t = best["reference"]
-    nat_e, nat_t = best["native"]
-    result["engine_speedup"] = round(ref_e / nat_e, 3)
-    result["end_to_end_speedup"] = round(ref_t / nat_t, 3)
+        times = best[engine]
+        result[engine] = {
+            "engine_s": round(times["engine_s"], 4),
+            "prep_s": round(times["trace_s"] + times["translate_s"], 4),
+            "trace_s": round(times["trace_s"], 4),
+            "translate_s": round(times["translate_s"], 4),
+            "total_s": round(times["total_s"], 4),
+            "engine_instr_per_s": round(instructions / times["engine_s"])}
+    ref, nat = result["reference"], result["native"]
+    result["engine_speedup"] = round(ref["engine_s"] / nat["engine_s"], 3)
+    result["prep_speedup"] = round(ref["prep_s"] / nat["prep_s"], 3)
+    result["end_to_end_speedup"] = round(ref["total_s"] / nat["total_s"], 3)
     return result
 
 
@@ -150,6 +171,7 @@ def main(argv=None) -> int:
         result = bench_workload(workload, reps)
         report["workloads"][name] = result
         print(f"[{name}] engine {result['engine_speedup']}x  "
+              f"prep {result['prep_speedup']}x  "
               f"end-to-end {result['end_to_end_speedup']}x  "
               f"bit_identical={result['bit_identical']}")
         for metric in ("engine_speedup", "end_to_end_speedup"):

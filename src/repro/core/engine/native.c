@@ -1,5 +1,6 @@
 /*
- * The native engine's kernel: the whole run_slice hot path in C.
+ * The native engine's kernel: the whole run_slice hot path in C, plus
+ * the batch page lookup that prepares its input (repro_translate).
  *
  * A line-for-line port of the reference engine
  * (repro/core/engine/reference.py) and of the policy and timing handlers
@@ -21,7 +22,7 @@
 typedef int64_t i64;
 typedef uint8_t u8;
 
-#define NATIVE_ABI 1
+#define NATIVE_ABI 2
 #define INVALID (-1)
 
 /* Parameter block (read-only). */
@@ -452,6 +453,62 @@ static i64 store(ctx_t *x, i64 now, i64 addr, int partial)
         x->ddirty[index] = x->epoch;
     }
     return now + 1;
+}
+
+/* --------------------------------------------------------- page lookup */
+
+#define NO_PAGE INT64_MIN
+#define PENDING (-1)
+
+/* Translate one column of virtual word addresses through one pid's page
+ * lookup table (repro/mmu/page_table.py): keys/frames hold mask + 1
+ * open-addressing slots, probed linearly; an empty slot's key is NO_PAGE,
+ * and a page listed but not yet allocated has frame PENDING.
+ *
+ * Rows on pages with a frame get their physical word address in out.  A
+ * page the table has never seen is inserted as PENDING and its slot is
+ * appended to missed, once per page in first-touch order; its rows get
+ * junk (the caller allocates the listed pages and calls again).
+ * Returns the number of slots appended, or -1 when the column holds more
+ * than `room` new pages (the caller grows the table without the PENDING
+ * entries and calls again). */
+int64_t repro_translate(i64 *keys, i64 *frames, i64 mask, i64 room,
+                        const i64 *words, i64 n, i64 page_shift,
+                        i64 *out, i64 *missed)
+{
+    const i64 offset_mask = ((i64)1 << page_shift) - 1;
+    i64 count = 0;
+    /* The two most recently used pages and their frames: a data column
+     * alternates between page 0 (rows without an access) and the page
+     * of the access, so both ways hit almost always, and choosing the
+     * way costs no mispredicted branch. */
+    i64 recent_page[2] = {NO_PAGE, NO_PAGE};
+    i64 recent_frame[2] = {PENDING, PENDING};
+    int mru = 0;
+    for (i64 i = 0; i < n; i++) {
+        i64 word = words[i];
+        i64 page = word >> page_shift;
+        int way = page == recent_page[1];
+        if (recent_page[way] != page) {
+            uint64_t hash = (uint64_t)page * 0x9E3779B97F4A7C15ull;
+            i64 slot = (i64)(hash >> 32) & mask;
+            while (keys[slot] != page && keys[slot] != NO_PAGE)
+                slot = (slot + 1) & mask;
+            if (keys[slot] == NO_PAGE) {
+                if (count == room)
+                    return -1;
+                keys[slot] = page;
+                frames[slot] = PENDING;
+                missed[count++] = slot;
+            }
+            way = 1 - mru;
+            recent_page[way] = page;
+            recent_frame[way] = frames[slot];
+        }
+        mru = way;
+        out[i] = (recent_frame[way] << page_shift) | (word & offset_mask);
+    }
+    return count;
 }
 
 /* ------------------------------------------------------------ hot loop */

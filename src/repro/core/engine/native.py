@@ -51,7 +51,7 @@ import sys
 import sysconfig
 import tempfile
 from pathlib import Path
-from typing import List, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -70,7 +70,7 @@ from repro.obs import runtime as _obs
 from repro.params import PAGE_WORDS, log2i
 
 #: Must equal ``NATIVE_ABI`` in ``native.c``.
-NATIVE_ABI = 1
+NATIVE_ABI = 2
 _SOURCE = Path(__file__).with_name("native.c")
 _INT64_MAX = (1 << 63) - 1
 #: Ends every published library, after its 8-byte length and SHA-256.
@@ -191,16 +191,26 @@ def _sealed(path: Path) -> bool:
             and hashlib.sha256(data[:size]).digest() == digest)
 
 
-def _load(path: Path):
-    """The kernel's entry point from the library at ``path``; raises
-    OSError when it is incomplete, cannot be loaded or has the wrong
-    ABI."""
+class Kernel(NamedTuple):
+    """The library's entry points (argument types set)."""
+
+    #: ``repro_run_slice``: the engine's hot path.
+    run_slice: Callable
+    #: ``repro_translate``: the batch page lookup behind
+    #: :meth:`repro.mmu.page_table.PageTable.translate_batch`.
+    translate: Callable
+
+
+def _load(path: Path) -> Kernel:
+    """The library's entry points from ``path``; raises OSError when it is
+    incomplete, cannot be loaded or has the wrong ABI."""
     if not _sealed(path):
         raise OSError(f"{path.name}: truncated or not a sealed kernel")
     library = ctypes.CDLL(str(path))
     try:
         abi = library.repro_native_abi
         run = library.repro_run_slice
+        translate = library.repro_translate
     except AttributeError as exc:
         raise OSError(f"{path.name}: missing kernel symbol: {exc}") from exc
     abi.restype = ctypes.c_int64
@@ -209,10 +219,14 @@ def _load(path: Path):
         raise OSError(f"{path.name}: kernel ABI {abi()} != {NATIVE_ABI}")
     run.restype = ctypes.c_int64
     run.argtypes = [ctypes.c_void_p] * 23 + [ctypes.c_int64] * 3
-    return run
+    translate.restype = ctypes.c_int64
+    translate.argtypes = ([ctypes.c_void_p] * 2 + [ctypes.c_int64] * 2
+                          + [ctypes.c_void_p] + [ctypes.c_int64] * 2
+                          + [ctypes.c_void_p] * 2)
+    return Kernel(run, translate)
 
 
-def load_kernel(directory: Path):
+def load_kernel(directory: Path) -> Kernel:
     """Load the kernel from ``directory``, building it when it is missing
     and rebuilding it once when the cached copy does not load."""
     directory.mkdir(parents=True, exist_ok=True)
@@ -229,16 +243,16 @@ def load_kernel(directory: Path):
         raise EngineUnavailable("load_failed", str(exc)) from exc
 
 
-#: The loaded entry point, or why there is none; one per process.  Threads
+#: The loaded entry points, or why there are none; one per process.  Threads
 #: racing on first use each load the same atomically published library,
 #: so no lock guards it (and no fork can inherit a held one).
 _kernel = None
 
 
-def kernel():
-    """The process-wide kernel entry point (built/loaded once); raises
+def kernel() -> Kernel:
+    """The process-wide kernel entry points (built/loaded once); raises
     :class:`~repro.core.engine.EngineUnavailable` with the reason when
-    the native engine cannot run in this process."""
+    the native library cannot be had in this process."""
     global _kernel
     if _kernel is None:
         try:
@@ -293,7 +307,7 @@ class NativeEngine(Engine):
                 "unsupported", f"L1-D lines of {config.dcache.line_words} "
                 f"words exceed the kernel's {MAX_DLINE_WORDS}-word valid "
                 f"mask")
-        self._run = kernel()
+        self._run = kernel().run_slice
         super().__init__(ms)
         l2i, l2d = ms.l2.instruction_half, ms.l2.data_half
         itlb, dtlb = ms.itlb, ms.dtlb

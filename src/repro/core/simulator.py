@@ -86,6 +86,7 @@ class Simulation:
         self.memsys = MemorySystem(self.config, engine=self.engine,
                                    energy=self.energy)
         self.page_table = PageTable()
+        self.page_table.follow(self.memsys)
         processes: List[Process] = [
             Process(pid=i + 1, name=profile.name,
                     source=SyntheticBenchmark(profile),

@@ -129,6 +129,7 @@ def run_coloring(scale: ExperimentScale,
                          warmup_instructions=scale.warmup_instructions())
         # Swap the page table before any translation happens.
         table = table_cls()
+        table.follow(sim.memsys)
         for process in sim.scheduler.ready_processes:
             process.page_table = table
         stats = sim.run()

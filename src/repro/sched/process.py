@@ -5,7 +5,11 @@ descriptors; here each :class:`Process` pulls batches from its trace source,
 translates them to physical addresses through the shared page table (page
 coloring preserves cache index bits), and hands the simulator the NumPy
 columns (the native engine's input) or, built on first request, plain
-Python lists (the fastest thing for the reference loop to iterate).
+Python lists (the fastest thing for the reference loop to iterate).  The
+page table picks its batch lookup from the engine that runs — the native
+library's under the native engine, NumPy's otherwise — and both allocate
+identically, so a prepared batch never depends on the engine
+(:mod:`repro.mmu.page_table`).
 
 Every batch is validated before it reaches the hot loop: a corrupt trace
 record (unknown access kind, negative address, mismatched column lengths)
@@ -215,7 +219,7 @@ class Process:
 
         The shared page table must already be restored: re-translating the
         regenerated in-flight batch is then a pure lookup, yielding the
-        identical physical addresses.
+        identical physical addresses under either engine's lookup.
         """
         from repro.errors import CheckpointError
 

@@ -39,11 +39,16 @@ Data model
     which is what gives the paper's 98 % write-hit rate at 4 KW.
 
 All randomness is drawn from a per-benchmark seeded generator, so traces are
-fully deterministic and runs are reproducible.
+fully deterministic and runs are reproducible.  The sequence of generator
+calls — which distribution, in which order, with which sizes — is part of
+the trace contract: every recorded result depends on it, so a faster
+implementation must make exactly the same draws
+(``tests/test_golden_trace.py`` pins the columns bit for bit).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -81,6 +86,8 @@ class CodeProfile:
     far_block_len: int = 12
 
     def validate(self) -> None:
+        if self.loops_per_phase <= 0:
+            raise ConfigurationError("loops_per_phase must be positive")
         if self.code_words < self.phase_regions * self.loop_body_mean:
             raise ConfigurationError(
                 "code region too small for the requested loop structure"
@@ -201,6 +208,7 @@ class SyntheticBenchmark:
         self._stream_cursor = 0
         self._warm_count = 0
         self._loop_pools = self._build_loop_pools()
+        self._loop_cdf = self._zipf_cdf(profile.code.loops_per_phase)
         self._syscall_points = self._build_syscall_points()
         self._next_syscall_idx = 0
 
@@ -236,48 +244,60 @@ class SyntheticBenchmark:
 
     # ------------------------------------------------------- instruction side
 
-    def _zipf_weights(self, n: int) -> np.ndarray:
+    def _zipf_cdf(self, n: int) -> List[float]:
+        """Normalized cumulative Zipf weights of an ``n``-loop pool, computed
+        exactly as ``Generator.choice(n, p=weights)`` computes them."""
         ranks = np.arange(1, n + 1, dtype=np.float64)
         weights = 1.0 / ranks ** 1.2
-        return weights / weights.sum()
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        return cdf.tolist()
 
     def _gen_pcs(self, want: int) -> np.ndarray:
-        """Generate at least ``want`` instruction addresses (then trimmed)."""
+        """Generate ``want`` instruction addresses.
+
+        Each segment is a loop body run ``trips`` times or one far block;
+        the loop draws only the segment parameters, and one vectorized
+        pass lays the segments out (run ``r`` of ``len_r`` words at
+        ``start_r`` is ``start_r + (i - begin_r)`` for its positions ``i``).
+        """
         code = self.profile.code
         rng = self._rng
-        segments: List[np.ndarray] = []
+        cdf = self._loop_cdf
+        starts: List[int] = []
+        lengths: List[int] = []
+        trips: List[int] = []
         produced = 0
         emitted_base = self._emitted
         while produced < want:
             phase = (
                 (emitted_base + produced) // code.phase_length
             ) % code.phase_regions
-            pool = self._loop_pools[phase]
-            weights = self._pool_weights(len(pool))
-            loop_idx = int(rng.choice(len(pool), p=weights))
-            start, body = pool[loop_idx]
-            trips = 1 + int(rng.geometric(1.0 / code.loop_trip_mean))
-            segment = np.tile(np.arange(start, start + body, dtype=np.int64), trips)
-            segments.append(segment)
-            produced += len(segment)
+            # Generator.choice(len(pool), p=weights) draws one uniform
+            # double and bisects the cumulative weights; doing that here
+            # skips choice()'s per-call validation of the weights.
+            start, body = self._loop_pools[phase][
+                bisect_right(cdf, rng.random())]
+            count = 1 + int(rng.geometric(1.0 / code.loop_trip_mean))
+            starts.append(start)
+            lengths.append(body)
+            trips.append(count)
+            produced += body * count
             if rng.random() < code.far_call_prob:
                 far_start = CODE_BASE + int(
                     rng.integers(0, max(1, code.code_words - code.far_block_len))
                 )
-                far = np.arange(
-                    far_start, far_start + code.far_block_len, dtype=np.int64
-                )
-                segments.append(far)
-                produced += len(far)
-        return np.concatenate(segments)[:want]
-
-    def _pool_weights(self, n: int) -> np.ndarray:
-        # Cached per pool size; all pools share the same size in practice.
-        cache = getattr(self, "_weights_cache", None)
-        if cache is None or len(cache) != n:
-            cache = self._zipf_weights(n)
-            self._weights_cache = cache
-        return cache
+                starts.append(far_start)
+                lengths.append(code.far_block_len)
+                trips.append(1)
+                produced += code.far_block_len
+        counts = np.array(trips, dtype=np.int64)
+        run_start = np.repeat(np.array(starts, dtype=np.int64), counts)
+        run_len = np.repeat(np.array(lengths, dtype=np.int64), counts)
+        run_begin = np.cumsum(run_len) - run_len
+        pcs = np.repeat(run_start - run_begin, run_len)[:want]
+        pcs += np.arange(want, dtype=np.int64)
+        return pcs
 
     # -------------------------------------------------------------- data side
 
@@ -286,30 +306,26 @@ class SyntheticBenchmark:
         d = self.profile.data
         rng = self._rng
         u = rng.random(n)
-        kinds = np.full(n, KIND_NONE, dtype=np.uint8)
         load_mask = u < d.load_fraction
-        kinds[load_mask] = KIND_LOAD
-        store_mask = (u >= d.load_fraction) & (
-            u < d.load_fraction + d.store_fraction
-        )
-        kinds[store_mask] = KIND_STORE
+        load_idx = np.flatnonzero(load_mask)
+        store_idx = np.flatnonzero(
+            (u < d.load_fraction + d.store_fraction) & ~load_mask)
+        kinds = np.full(n, KIND_NONE, dtype=np.uint8)
+        kinds[load_idx] = KIND_LOAD
+        kinds[store_idx] = KIND_STORE
 
         addrs = np.zeros(n, dtype=np.int64)
-        n_load = int(np.count_nonzero(load_mask))
-        if n_load:
-            addrs[load_mask] = self._gen_addresses(n_load, locality=1.0)
-        n_store = int(np.count_nonzero(store_mask))
-        if n_store:
-            fresh_addrs = self._gen_addresses(n_store,
+        if len(load_idx):
+            addrs[load_idx] = self._gen_addresses(len(load_idx), locality=1.0)
+        if len(store_idx):
+            fresh_addrs = self._gen_addresses(len(store_idx),
                                               locality=d.store_locality)
-            addrs[store_mask] = self._cluster_stores(fresh_addrs)
+            addrs[store_idx] = self._cluster_stores(fresh_addrs)
 
         partial = np.zeros(n, dtype=bool)
-        if d.partial_store_fraction > 0.0:
-            store_idx = np.flatnonzero(store_mask)
-            if len(store_idx):
-                partial_draw = rng.random(len(store_idx)) < d.partial_store_fraction
-                partial[store_idx[partial_draw]] = True
+        if d.partial_store_fraction > 0.0 and len(store_idx):
+            partial_draw = rng.random(len(store_idx)) < d.partial_store_fraction
+            partial[store_idx[partial_draw]] = True
         return kinds, addrs, partial
 
     def _cluster_stores(self, fresh_addrs: np.ndarray) -> np.ndarray:
@@ -346,18 +362,17 @@ class SyntheticBenchmark:
         warm_cut = hot_cut + d.p_warm * locality
         stream_cut = warm_cut + d.p_stream * locality
 
-        hot_mask = comp < hot_cut
-        warm_mask = (comp >= hot_cut) & (comp < warm_cut)
-        stream_mask = (comp >= warm_cut) & (comp < stream_cut)
-        cold_mask = comp >= stream_cut
+        hot = np.flatnonzero(comp < hot_cut)
+        warm = np.flatnonzero((comp >= hot_cut) & (comp < warm_cut))
+        stream = np.flatnonzero((comp >= warm_cut) & (comp < stream_cut))
+        cold = np.flatnonzero(comp >= stream_cut)
 
-        n_hot = int(np.count_nonzero(hot_mask))
-        if n_hot:
-            addrs[hot_mask] = HOT_BASE + rng.integers(
-                0, d.hot_words, size=n_hot, dtype=np.int64
+        if len(hot):
+            addrs[hot] = HOT_BASE + rng.integers(
+                0, d.hot_words, size=len(hot), dtype=np.int64
             )
 
-        n_warm = int(np.count_nonzero(warm_mask))
+        n_warm = len(warm)
         if n_warm:
             # A window of warm_window_words that drifts warm_drift words per
             # warm access, wrapping around the warm region.
@@ -368,9 +383,9 @@ class SyntheticBenchmark:
             self._warm_count += n_warm
             offsets = rng.integers(0, d.warm_window_words, size=n_warm,
                                    dtype=np.int64)
-            addrs[warm_mask] = WARM_BASE + (starts + offsets) % d.warm_words
+            addrs[warm] = WARM_BASE + (starts + offsets) % d.warm_words
 
-        n_stream = int(np.count_nonzero(stream_mask))
+        n_stream = len(stream)
         if n_stream:
             stride = d.stream_stride
             positions = (
@@ -380,13 +395,12 @@ class SyntheticBenchmark:
             self._stream_cursor = int(
                 (self._stream_cursor + n_stream * stride) % d.stream_words
             )
-            addrs[stream_mask] = STREAM_BASE + positions
+            addrs[stream] = STREAM_BASE + positions
 
-        n_cold = int(np.count_nonzero(cold_mask))
-        if n_cold:
-            frac = rng.random(n_cold) ** d.cold_exponent
+        if len(cold):
+            frac = rng.random(len(cold)) ** d.cold_exponent
             idx = (frac * d.cold_words).astype(np.int64)
-            addrs[cold_mask] = COLD_BASE + np.minimum(idx, d.cold_words - 1)
+            addrs[cold] = COLD_BASE + np.minimum(idx, d.cold_words - 1)
 
         return addrs
 

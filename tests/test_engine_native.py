@@ -227,6 +227,64 @@ class TestColumns:
         assert ms._itags[:2].tolist() == [0, 1]
 
 
+class TestBatchPrepPaths:
+    """The page lookup follows the engine that runs: compiled under the
+    native engine, NumPy under the reference engine.  Page-table state is
+    shared, so a checkpoint taken mid-batch under one engine replays the
+    in-flight batch under the other into identical columns."""
+
+    @pytest.fixture(scope="class")
+    def long_suite(self):
+        # Three 64k batches per process, so the checkpoint falls after
+        # the first batch and the replayed batch meets known pages.
+        return default_suite(instructions_per_benchmark=150_000)[:2]
+
+    @pytest.mark.parametrize("first,second", [("native", "reference"),
+                                              ("reference", "native")])
+    def test_mid_batch_checkpoint_resumes_across_paths(self, long_suite,
+                                                       tmp_path, first,
+                                                       second):
+        truth = Simulation(config=base_architecture(), profiles=long_suite,
+                           time_slice=30_000, engine=first).run()
+        sim = Simulation(config=base_architecture(), profiles=long_suite,
+                         time_slice=30_000, engine=first)
+        assert sim.page_table.compiled == (first == "native")
+        sim.run(max_instructions=150_000)
+        in_flight = {p.pid: p._batch.arrays
+                     for p in sim.scheduler._all_processes
+                     if p._batch is not None
+                     and 0 < p._pos < len(p._batch)}
+        assert in_flight, "the checkpoint must fall inside a batch"
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(sim, path)
+
+        resumed = resume(path, engine=second)
+        assert resumed.memsys.engine.name == second
+        assert resumed.page_table.compiled == (second == "native")
+        replayed = {p.pid: p._batch.arrays
+                    for p in resumed.scheduler._all_processes
+                    if p.pid in in_flight}
+        assert replayed.keys() == in_flight.keys()
+        for pid, columns in in_flight.items():
+            for got, want in zip(replayed[pid], columns):
+                np.testing.assert_array_equal(got, want)
+        stats = resumed.run()
+        assert dataclasses.asdict(stats) == dataclasses.asdict(truth)
+
+    def test_tracing_fallback_switches_the_lookup(self, suite, tmp_path):
+        sim = Simulation(config=base_architecture(), profiles=suite,
+                         time_slice=TIME_SLICE, engine="native")
+        sim.run(max_instructions=INSTRUCTIONS // 2)
+        assert sim.page_table.compiled
+        obs.enable(tmp_path / "trace.jsonl", sample_interval=None)
+        try:
+            sim.run()
+        finally:
+            obs.disable()
+        assert sim.memsys.engine.name == "reference"
+        assert not sim.page_table.compiled
+
+
 class TestRetiredBatchedName:
     def test_simulation_rejects_it_with_a_hint(self, suite):
         with pytest.raises(ConfigurationError,
