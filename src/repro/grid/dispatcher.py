@@ -49,7 +49,6 @@ from queue import Empty, Queue
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 import repro.obs as obs
-from repro.core.serialization import config_to_dict, profile_to_dict
 from repro.core.stats import SimStats
 from repro.errors import ConfigurationError, GridError, ServeError
 from repro.farm.cache import ResultCache
@@ -57,7 +56,7 @@ from repro.farm.points import PointSpec, execute_point
 from repro.farm.telemetry import RunTelemetry
 from repro.grid.nodes import GridNode, NodeRegistry
 from repro.obs.metrics import Registry
-from repro.serve.protocol import stats_digest
+from repro.serve.protocol import stats_digest, wire_body
 
 #: Scheduler tick: hedge checks and completion waits poll at this period.
 _TICK = 0.05
@@ -151,7 +150,7 @@ class _Task:
         self.index = index
         self.spec = spec
         self.key = spec.key()
-        self.body = _wire_body(spec)
+        self.body = wire_body(spec)
         self.payload = spec.payload()   # canonical: local-fallback input
         self.attempts = 0            # dispatches started (incl. hedges)
         self.active = 0              # attempts currently in flight
@@ -164,29 +163,6 @@ class _Task:
         self.result_wall_s = 0.0
         self.local = False           # resolved by local fallback
         self.permanent_error: Optional[str] = None
-
-
-def _wire_body(spec: PointSpec) -> Dict[str, Any]:
-    """The ``/v1/simulate`` request for one point.  Field-for-field the
-    same description the cache key hashes, so the backend's computed key
-    must equal ``spec.key()`` — the validity check hedging relies on."""
-    body: Dict[str, Any] = {
-        "config": config_to_dict(spec.config),
-        "workload": {
-            "profiles": [profile_to_dict(p) for p in spec.profiles]},
-        "time_slice": spec.time_slice,
-        "warmup_instructions": spec.warmup_instructions,
-        "engine": spec.engine,
-    }
-    if spec.level is not None:
-        body["level"] = spec.level
-    if spec.max_instructions is not None:
-        body["max_instructions"] = spec.max_instructions
-    if spec.energy is not None:
-        body["energy"] = spec.energy
-    if spec.scenario is not None:
-        body["scenario"] = spec.scenario
-    return body
 
 
 class GridDispatcher:

@@ -14,9 +14,10 @@ cache.  ``repro.serve`` turns the batch farm into that service:
   and a half-opening circuit breaker;
 * :mod:`repro.serve.protocol` — the validated request/response wire
   format (a bad request is a 400 with a message, never a traceback);
-* :mod:`repro.serve.chaos` — the harness that proves all of the above
-  under injected cache corruption, worker crashes, and worker stalls;
 * :mod:`repro.serve.cli` — the ``repro-serve`` command.
+
+The ``serve`` storm of :mod:`repro.chaos` proves all of the above under
+injected cache corruption, worker crashes, and worker stalls.
 
 Quickstart::
 
@@ -36,6 +37,7 @@ from repro.serve.protocol import (
     parse_simulate_request,
     render_result,
     stats_digest,
+    wire_body,
 )
 from repro.serve.server import Metrics, ServeSettings, SimServer
 
@@ -51,4 +53,5 @@ __all__ = [
     "parse_simulate_request",
     "render_result",
     "stats_digest",
+    "wire_body",
 ]

@@ -26,6 +26,9 @@ a request the simulator accepts, and anything else raises
 :class:`~repro.errors.ConfigurationError`/:class:`~repro.errors.ServeError`
 which the server maps to a 400 with the message, never a traceback.
 
+:func:`wire_body` is the inverse: the body a client sends for a
+:class:`~repro.farm.points.PointSpec`.
+
 A successful response is also defined here (:func:`render_result`):
 the full :class:`~repro.core.stats.SimStats` snapshot, the derived CPI,
 the content-address ``key`` of the point, and whether the answer came
@@ -43,7 +46,12 @@ from repro.core.engine import (
     ENGINE_NAMES,
     unknown_engine_message,
 )
-from repro.core.serialization import config_from_dict, profile_from_dict
+from repro.core.serialization import (
+    config_from_dict,
+    config_to_dict,
+    profile_from_dict,
+    profile_to_dict,
+)
 from repro.core.stats import SimStats
 from repro.errors import ConfigurationError, ServeError
 from repro.farm.points import PointSpec
@@ -203,6 +211,30 @@ def parse_simulate_request(raw: bytes,
                      max_instructions=max_instructions, engine=engine,
                      energy=energy, scenario=scenario)
     return spec, deadline_s, obs_trace
+
+
+def wire_body(spec: PointSpec) -> Dict[str, Any]:
+    """The ``/v1/simulate`` request for one point: the inverse of
+    :func:`parse_simulate_request`.  Field-for-field the same description
+    the cache key hashes, so the server's computed key must equal
+    ``spec.key()`` — the validity check grid hedging relies on."""
+    body: Dict[str, Any] = {
+        "config": config_to_dict(spec.config),
+        "workload": {
+            "profiles": [profile_to_dict(p) for p in spec.profiles]},
+        "time_slice": spec.time_slice,
+        "warmup_instructions": spec.warmup_instructions,
+        "engine": spec.engine,
+    }
+    if spec.level is not None:
+        body["level"] = spec.level
+    if spec.max_instructions is not None:
+        body["max_instructions"] = spec.max_instructions
+    if spec.energy is not None:
+        body["energy"] = spec.energy
+    if spec.scenario is not None:
+        body["scenario"] = spec.scenario
+    return body
 
 
 def stats_digest(snapshot: Dict[str, Any]) -> str:

@@ -384,7 +384,7 @@ class SimServer:
 
         ``port_file`` (if given) receives the bound port as text once the
         listener is up — how an orchestrator launching ``--port 0``
-        backends (the grid chaos harness, the scaling benchmark) learns
+        backends (the grid chaos storm, the scaling benchmark) learns
         where each one landed.
         """
         stop = threading.Event()

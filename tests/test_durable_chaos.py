@@ -1,9 +1,6 @@
-"""Kill-anywhere chaos and the hung-worker watchdog, CI-sized.
-
-The full storm (every journal offset) runs in the CI ``durable`` job via
-``repro-durable chaos``; here a trimmed storm keeps the unit suite fast
-while still killing a real coordinator with SIGKILL and SIGSTOPping a
-real worker past its lease.
+"""The pool's hung-worker watchdog in vitro: heartbeats, leases, and the
+stuck/slow distinction.  The kill-anywhere storm itself is in
+``tests/test_chaos.py``.
 """
 
 from __future__ import annotations
@@ -13,38 +10,7 @@ import time
 
 import pytest
 
-from repro.durable.chaos import DurableChaosSettings, run_durable_chaos
 from repro.farm.pool import run_tasks
-
-
-def test_crash_and_resume_storm_small():
-    report = run_durable_chaos(DurableChaosSettings(
-        points=2, instructions=3000, offsets=[1, 2, 4],
-        parallel_crash=True, stalled_worker=False))
-    assert report.passed, report.render()
-    assert report.crashes == 4          # 3 serial offsets + 1 parallel
-    assert report.resumes >= 4
-    assert report.parallel_crash_tested
-
-
-def test_stalled_worker_is_reaped_and_rerun():
-    report = run_durable_chaos(DurableChaosSettings(
-        points=2, instructions=3000, offsets=[],
-        parallel_crash=False, stalled_worker=True,
-        lease_s=2.0, heartbeat_s=0.4))
-    assert report.passed, report.render()
-    assert report.stalled_worker_tested
-    assert report.watchdog_reclaims >= 1
-
-
-def test_chaos_cli_json(capsys):
-    from repro.durable.cli import main
-
-    code = main(["chaos", "--points", "2", "--offsets", "3",
-                 "--no-parallel", "--no-stall", "--json"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert '"passed": true' in out
 
 
 # ------------------------------------------------ pool watchdog in vitro

@@ -93,11 +93,15 @@ class TestHappyPath:
     def test_bit_identical_to_serial_in_input_order(self):
         wanted = specs(4)
         truth = serial(wanted)
+        # Calls meet in pairs, so two are always in flight at once and
+        # least-loaded placement must put them on different nodes.
+        pair = threading.Barrier(2, timeout=30.0)
+        for url in ("http://a", "http://b"):
+            FakeServeClient.behaviors[url] = lambda body: pair.wait()
         with dispatcher(["http://a", "http://b"]) as grid:
             got = grid.run_points(wanted)
         assert [s.to_dict() for s in got] == truth
-        # All four points went over the wire, spread across both nodes
-        # (the exact split depends on thread scheduling).
+        # All four points went over the wire, spread across both nodes.
         total = sum(len(c) for c in FakeServeClient.calls.values())
         assert total == 4
         assert set(FakeServeClient.calls) == {"http://a", "http://b"}
