@@ -14,7 +14,9 @@ baseline; the wall-clock curve goes to ``BENCH_farm.json``.  Usage::
 
 ``--smoke`` shrinks the grid and the curve for CI.  The speedup columns
 are only meaningful on a multi-core machine (``cpu_count`` is recorded
-so readers can judge); the bit-identical gate is meaningful everywhere.
+so readers can judge); ``losing_regimes`` lists every parallel point
+slower than the ``jobs=1`` baseline; the bit-identical gate is
+meaningful everywhere.
 """
 
 from __future__ import annotations
@@ -137,6 +139,13 @@ def main(argv=None) -> int:
             if dist_s else None,
         })
 
+    # A regime where the parallel path is slower than the serial baseline
+    # is reported as such, in the JSON itself.
+    losing = [f"{kind} jobs={point['jobs']}: {point[f'{kind}_speedup']}x "
+              f"of the jobs=1 baseline"
+              for point in curve for kind in ("local", "distributed")
+              if point["jobs"] > 1 and point[f"{kind}_speedup"] is not None
+              and point[f"{kind}_speedup"] < 1.0]
     report = {
         "benchmark": "farm_scaling_curve",
         "grid": "fig5" if not args.smoke else "fig5[:6]",
@@ -148,6 +157,7 @@ def main(argv=None) -> int:
         "cpu_count": cpus,
         "baseline_wall_s": round(baseline_s, 3),
         "curve": curve,
+        "losing_regimes": losing,
         "bit_identical": identical,
     }
     with open(args.out, "w", encoding="utf-8") as handle:

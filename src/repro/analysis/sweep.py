@@ -64,6 +64,43 @@ def _resolve(jobs: Optional[int], cache, telemetry,
         dispatcher, journal, durable, scenario
 
 
+def point_spec(config: SystemConfig, profiles: Sequence[BenchmarkProfile],
+               time_slice: int = DEFAULT_TIME_SLICE,
+               level: Optional[int] = None,
+               warmup_instructions: int = 0,
+               max_instructions: Optional[int] = None,
+               engine: Optional[str] = None,
+               energy: Optional[str] = None) -> PointSpec:
+    """The :class:`PointSpec` of one configuration over ``profiles``,
+    labeled by the configuration's name; ``engine``, ``energy`` and the
+    scenario identity default to the ambient session's settings."""
+    *_, engine, energy, _, _, _, scenario = _resolve(1, None, None, engine,
+                                                    energy)
+    return PointSpec(label=config.name, config=config,
+                     profiles=tuple(profiles), time_slice=time_slice,
+                     level=level, warmup_instructions=warmup_instructions,
+                     max_instructions=max_instructions, engine=engine,
+                     energy=energy, scenario=scenario)
+
+
+def run_specs(specs: Sequence[PointSpec],
+              jobs: Optional[int] = None,
+              cache: Optional[ResultCache] = None) -> List[SimStats]:
+    """Execute ``specs`` as one batch under the ambient farm policy;
+    stats in input order.
+
+    ``jobs=None`` takes the session's worker count, so a figure's whole
+    grid fans out across the warm worker pool; ``cache=None`` takes the
+    session's cache.
+    """
+    jobs, cache, telemetry, timeout, retries, _, _, dispatcher, journal, \
+        durable, _ = _resolve(jobs, cache, None)
+    return run_points(specs, jobs=jobs, cache=cache, telemetry=telemetry,
+                      timeout=timeout, retries=retries,
+                      dispatcher=dispatcher, journal=journal,
+                      durable=durable)
+
+
 def run_point(config: SystemConfig, profiles: Sequence[BenchmarkProfile],
               time_slice: int = DEFAULT_TIME_SLICE,
               level: Optional[int] = None,
@@ -79,16 +116,11 @@ def run_point(config: SystemConfig, profiles: Sequence[BenchmarkProfile],
     cache; otherwise this is a plain in-process simulation.  ``engine``
     and ``energy`` default to the ambient session's settings.
     """
-    _, cache, telemetry, _, _, engine, energy, dispatcher, journal, \
-        durable, scenario = _resolve(1, cache, None, engine, energy)
-    spec = PointSpec(label=config.name, config=config,
-                     profiles=tuple(profiles), time_slice=time_slice,
-                     level=level, warmup_instructions=warmup_instructions,
-                     max_instructions=max_instructions, engine=engine,
-                     energy=energy, scenario=scenario)
-    return run_points([spec], jobs=1, cache=cache, telemetry=telemetry,
-                      dispatcher=dispatcher, journal=journal,
-                      durable=durable)[0]
+    spec = point_spec(config, profiles, time_slice=time_slice, level=level,
+                      warmup_instructions=warmup_instructions,
+                      max_instructions=max_instructions, engine=engine,
+                      energy=energy)
+    return run_specs([spec], jobs=1, cache=cache)[0]
 
 
 def run_sweep(configs: Sequence[Tuple[str, SystemConfig]],

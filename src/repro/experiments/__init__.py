@@ -20,6 +20,7 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentScale,
     run_system,
+    run_systems,
     workload,
 )
 
@@ -67,5 +68,6 @@ __all__ = [
     "experiment_registry",
     "run_experiment",
     "run_system",
+    "run_systems",
     "workload",
 ]

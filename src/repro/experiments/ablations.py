@@ -29,7 +29,7 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentScale,
     register,
-    run_system,
+    run_systems,
 )
 from repro.scenario.params import ScenarioParams
 
@@ -43,12 +43,12 @@ def run_wb_depth(scale: ExperimentScale,
     depths = params.axis("depths")
     rows: List[List] = []
     cpis = {}
-    for depth in depths:
-        config = split_l2_architecture(params.machine).with_(
+    grid = run_systems([
+        split_l2_architecture(params.machine).with_(
             name=f"wb-depth-{depth}",
             write_buffer=WriteBufferConfig(depth=depth, width_words=1),
-        )
-        stats = run_system(config, scale)
+        ) for depth in depths], scale)
+    for depth, stats in zip(depths, grid):
         cpis[depth] = stats.cpi()
         rows.append([depth, stats.cpi(),
                      stats.stall_wb / max(stats.instructions, 1)])
@@ -77,13 +77,13 @@ def run_wb_overlap(scale: ExperimentScale,
     overlaps = params.axis("overlaps")
     rows: List[List] = []
     cpis = {}
-    for overlap in overlaps:
-        config = split_l2_architecture(params.machine).with_(
+    grid = run_systems([
+        split_l2_architecture(params.machine).with_(
             name=f"wb-overlap-{overlap}",
             write_buffer=WriteBufferConfig(depth=8, width_words=1,
                                            overlap_cycles=overlap),
-        )
-        stats = run_system(config, scale)
+        ) for overlap in overlaps], scale)
+    for overlap, stats in zip(overlaps, grid):
         cpis[overlap] = stats.cpi()
         rows.append([overlap, stats.cpi(),
                      stats.stall_wb / max(stats.instructions, 1)])

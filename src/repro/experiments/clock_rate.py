@@ -20,7 +20,7 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentScale,
     register,
-    run_system,
+    run_systems,
 )
 from repro.scenario.params import ScenarioParams
 
@@ -52,9 +52,10 @@ def run(scale: ExperimentScale,
     interval_ns = scale.time_slice * 4.0
     rows: List[List] = []
     miss_by_clock = {}
-    for label, cycle_ns in clocks:
-        slice_cycles = max(1000, int(interval_ns / cycle_ns))
-        stats = run_system(config, scale, time_slice=slice_cycles)
+    slices = [max(1000, int(interval_ns / cycle_ns))
+              for _, cycle_ns in clocks]
+    grid = run_systems([config] * len(clocks), scale, time_slices=slices)
+    for (label, _), slice_cycles, stats in zip(clocks, slices, grid):
         miss_by_clock[label] = stats.l1d_miss_ratio
         rows.append([label, slice_cycles, stats.l1i_miss_ratio,
                      stats.l1d_miss_ratio, stats.l2_miss_ratio,

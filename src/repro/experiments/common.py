@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig
 from repro.core.stats import SimStats
-from repro.analysis.sweep import run_point
+from repro.analysis.sweep import point_spec, run_specs
 from repro.params import DEFAULT_MULTIPROGRAMMING_LEVEL
 from repro.trace.benchmarks import default_suite, replicate_suite
 from repro.trace.synthetic import BenchmarkProfile
@@ -78,18 +78,12 @@ def workload(scale: ExperimentScale,
     return replicate_suite(suite, n)
 
 
-def run_system(config: SystemConfig, scale: ExperimentScale,
-               level: Optional[int] = None,
-               time_slice: Optional[int] = None,
-               energy: Optional[str] = None) -> SimStats:
-    """Run one configuration at a scale; returns its statistics.
-
-    ``energy`` selects an energy technology
-    (:data:`repro.energy.ENERGY_TECHNOLOGIES`) for per-event accounting;
-    ``None`` defers to the ambient farm session (usually disabled).
-    """
+def _system_spec(config: SystemConfig, scale: ExperimentScale,
+                 level: Optional[int] = None,
+                 time_slice: Optional[int] = None,
+                 energy: Optional[str] = None):
     n = level if level is not None else scale.level
-    return run_point(
+    return point_spec(
         config,
         workload(scale, n),
         time_slice=time_slice if time_slice is not None else scale.time_slice,
@@ -97,6 +91,51 @@ def run_system(config: SystemConfig, scale: ExperimentScale,
         warmup_instructions=scale.warmup_instructions(n),
         energy=energy,
     )
+
+
+def run_system(config: SystemConfig, scale: ExperimentScale,
+               level: Optional[int] = None,
+               time_slice: Optional[int] = None,
+               energy: Optional[str] = None) -> SimStats:
+    """Run one configuration at a scale, in-process; returns its
+    statistics.
+
+    ``energy`` selects an energy technology
+    (:data:`repro.energy.ENERGY_TECHNOLOGIES`) for per-event accounting;
+    ``None`` defers to the ambient farm session (usually disabled).
+    """
+    return run_specs([_system_spec(config, scale, level, time_slice,
+                                   energy)], jobs=1)[0]
+
+
+def run_systems(configs: Sequence[SystemConfig], scale: ExperimentScale,
+                levels: Optional[Sequence[int]] = None,
+                time_slices: Optional[Sequence[int]] = None,
+                energies: Optional[Sequence[Optional[str]]] = None,
+                scales: Optional[Sequence[ExperimentScale]] = None
+                ) -> List[SimStats]:
+    """Run a figure's whole grid as one farm batch; stats in input order.
+
+    Point ``i`` is :func:`run_system` of ``configs[i]`` with, where given,
+    ``levels[i]``, ``time_slices[i]``, ``energies[i]`` and ``scales[i]``
+    (replacing ``scale``).  Every point goes to the ambient session's
+    worker pool at once, so ``--jobs`` parallelises within a figure;
+    results are bit-identical to running the points one by one.
+    """
+    def each(values, name):
+        if values is None:
+            return [None] * len(configs)
+        if len(values) != len(configs):
+            raise ValueError(f"{name} has {len(values)} entries for "
+                             f"{len(configs)} configs")
+        return values
+
+    return run_specs([
+        _system_spec(config, point_scale or scale, level, time_slice, energy)
+        for config, level, time_slice, energy, point_scale in zip(
+            configs, each(levels, "levels"),
+            each(time_slices, "time_slices"), each(energies, "energies"),
+            each(scales, "scales"))])
 
 
 @dataclass

@@ -31,7 +31,7 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentScale,
     register,
-    run_system,
+    run_systems,
 )
 from repro.scenario.params import ScenarioParams
 
@@ -75,8 +75,9 @@ def run(scale: ExperimentScale,
     """Regenerate Fig. 10."""
     rows: List[List] = []
     cpis = {}
-    for label, config in steps(params.machine):
-        stats = run_system(config, scale)
+    design_points = steps(params.machine)
+    grid = run_systems([config for _, config in design_points], scale)
+    for (label, _), stats in zip(design_points, grid):
         cpis[label] = stats.cpi()
         rows.append([label, stats.cpi(), stats.memory_cpi])
     base_cpi = cpis["section-8 design"]

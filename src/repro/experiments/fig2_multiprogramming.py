@@ -15,7 +15,7 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentScale,
     register,
-    run_system,
+    run_systems,
 )
 from repro.scenario.params import ScenarioParams
 
@@ -30,8 +30,8 @@ def run(scale: ExperimentScale,
     levels = params.axis("levels")
     rows = []
     l2_ratios = {}
-    for level in levels:
-        stats = run_system(config, scale, level=level)
+    grid = run_systems([config] * len(levels), scale, levels=levels)
+    for level, stats in zip(levels, grid):
         rows.append([
             level,
             stats.l1i_miss_ratio,

@@ -14,7 +14,7 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentScale,
     register,
-    run_system,
+    run_systems,
 )
 from repro.scenario.params import ScenarioParams
 
@@ -27,8 +27,10 @@ def run(scale: ExperimentScale,
     """Regenerate Fig. 3."""
     config = params.machine
     rows = []
-    for time_slice in params.axis("time_slices"):
-        stats = run_system(config, scale, time_slice=time_slice)
+    time_slices = params.axis("time_slices")
+    grid = run_systems([config] * len(time_slices), scale,
+                       time_slices=time_slices)
+    for time_slice, stats in zip(time_slices, grid):
         rows.append([
             time_slice,
             stats.l1i_miss_ratio,

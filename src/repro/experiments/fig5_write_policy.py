@@ -32,7 +32,7 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentScale,
     register,
-    run_system,
+    run_systems,
 )
 from repro.scenario.params import ScenarioParams
 
@@ -101,11 +101,12 @@ def run(scale: ExperimentScale,
     policies = policies_from(params.axis("policies"))
     access_times = params.axis("access_times")
     cpi: Dict[WritePolicy, Dict[int, float]] = {p: {} for p in policies}
-    for policy in policies:
-        for access_time in access_times:
-            stats = run_system(
-                config_for(policy, access_time, base=params.machine), scale)
-            cpi[policy][access_time] = stats.cpi()
+    points = [(policy, access_time) for policy in policies
+              for access_time in access_times]
+    grid = run_systems([config_for(policy, access_time, base=params.machine)
+                        for policy, access_time in points], scale)
+    for (policy, access_time), stats in zip(points, grid):
+        cpi[policy][access_time] = stats.cpi()
     rows: List[List] = []
     for access_time in access_times:
         rows.append([access_time]

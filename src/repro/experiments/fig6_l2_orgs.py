@@ -24,7 +24,7 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentScale,
     register,
-    run_system,
+    run_systems,
 )
 from repro.scenario.params import ScenarioParams
 
@@ -66,13 +66,13 @@ def run_grid(scale: ExperimentScale,
              base: Optional[SystemConfig] = None
              ) -> Dict[Tuple[str, int], SimStats]:
     """Simulate the full grid; keyed by (org label, size KW)."""
-    grid: Dict[Tuple[str, int], SimStats] = {}
-    for label, split, ways in organizations:
-        for size_kw in sizes_kw:
-            grid[(label, size_kw)] = run_system(
-                config_for(size_kw, split, ways, base=base), scale
-            )
-    return grid
+    points = [(label, split, ways, size_kw)
+              for label, split, ways in organizations
+              for size_kw in sizes_kw]
+    stats = run_systems([config_for(size_kw, split, ways, base=base)
+                         for _, split, ways, size_kw in points], scale)
+    return {(label, size_kw): point_stats
+            for (label, _, _, size_kw), point_stats in zip(points, stats)}
 
 
 @register("fig6",

@@ -18,7 +18,7 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentScale,
     register,
-    run_system,
+    run_systems,
 )
 from repro.scenario.params import ScenarioParams
 
@@ -47,11 +47,9 @@ def run(scale: ExperimentScale,
     sizes_kw = params.axis("sizes_kw")
     access_times = params.axis("access_times")
     line_words = params.machine.dcache.line_words
-    stats_by_size = [
-        (size_kw, run_system(config_for(size_kw, base=params.machine),
-                             scale))
-        for size_kw in sizes_kw
-    ]
+    stats_by_size = list(zip(sizes_kw, run_systems(
+        [config_for(size_kw, base=params.machine) for size_kw in sizes_kw],
+        scale)))
     rows: List[List] = []
     for size_kw, stats in stats_by_size:
         rows.append(

@@ -29,7 +29,7 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentScale,
     register,
-    run_system,
+    run_systems,
 )
 from repro.scenario.params import ScenarioParams
 
@@ -60,8 +60,8 @@ def run(scale: ExperimentScale,
     ]
     rows: List[List] = []
     results = {}
-    for label, config in steps:
-        stats = run_system(config, scale)
+    grid = run_systems([config for _, config in steps], scale)
+    for (label, _), stats in zip(steps, grid):
         results[label] = stats
         rows.append([label, stats.cpi(), stats.memory_cpi])
     base_mem = results["base"].memory_cpi

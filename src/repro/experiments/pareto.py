@@ -32,7 +32,7 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentScale,
     register,
-    run_system,
+    run_systems,
 )
 from repro.scenario.params import ScenarioParams
 from repro.tech.timing import derive_cache_access
@@ -87,18 +87,20 @@ def sweep(scale: ExperimentScale,
         from repro.scenario.driver import default_params
 
         params = default_params("pareto")
-    points: List[ParetoPoint] = []
-    for technology in params.axis("technologies"):
-        for size_kw in params.axis("sizes_kw"):
-            for ways in params.axis("ways"):
-                config = config_for(technology, size_kw, ways,
-                                    base=params.machine)
-                stats = run_system(config, scale, energy=technology)
-                points.append(ParetoPoint(
-                    technology=technology, size_kw=size_kw, ways=ways,
-                    access_cycles=config.l2.access_time,
-                    cpi=stats.cpi(), epi_pj=stats.epi_pj, stats=stats))
-    return points
+    grid = [(technology, size_kw, ways)
+            for technology in params.axis("technologies")
+            for size_kw in params.axis("sizes_kw")
+            for ways in params.axis("ways")]
+    configs = [config_for(technology, size_kw, ways, base=params.machine)
+               for technology, size_kw, ways in grid]
+    stats_list = run_systems(configs, scale,
+                             energies=[technology for technology, _, _
+                                       in grid])
+    return [ParetoPoint(technology=technology, size_kw=size_kw, ways=ways,
+                        access_cycles=config.l2.access_time,
+                        cpi=stats.cpi(), epi_pj=stats.epi_pj, stats=stats)
+            for (technology, size_kw, ways), config, stats
+            in zip(grid, configs, stats_list)]
 
 
 def pareto_frontier(points: Sequence[ParetoPoint]) -> List[ParetoPoint]:

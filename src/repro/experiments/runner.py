@@ -19,8 +19,10 @@ Every experiment regenerates one of the paper's tables or figures and
 prints it as an ASCII table along with the scalar findings EXPERIMENTS.md
 tracks.
 
-Execution goes through :mod:`repro.farm`: ``--jobs N`` fans independent
-experiments across forked workers, and every simulated sweep point is
+Execution goes through :mod:`repro.farm`: ``--jobs N`` runs a figure's
+sweep points across N warm forked workers (several experiments at once
+fan out whole experiments across the workers instead), and every
+simulated sweep point is
 memoized in a content-addressed result cache (``--cache-dir``, disable
 with ``--no-cache``), so re-running an overlapping figure — or the same
 figure twice — skips the simulation work entirely.  Reports are
@@ -128,9 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "technology for every sweep point (default: "
                              "disabled; timing results are unaffected)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for independent experiments "
-                             "(default %(default)s; results are identical "
-                             "at any value)")
+                        help="worker processes for a figure's sweep points "
+                             "(or, with several experiments, for whole "
+                             "experiments; default %(default)s; results are "
+                             "identical at any value)")
     parser.add_argument("--nodes", type=str, default=None,
                         metavar="URL[,URL...]",
                         help="distribute sweep points over these "
@@ -490,7 +493,7 @@ def _run(args: argparse.Namespace, telemetry: RunTelemetry) -> int:
             except FarmCancelled:
                 interrupted = True  # pool already reaped its children
         else:
-            with farm_session(jobs=1, cache=cache, no_cache=args.no_cache,
+            with farm_session(jobs=jobs, cache=cache, no_cache=args.no_cache,
                               telemetry=telemetry, engine=args.engine,
                               energy=args.energy, nodes=nodes,
                               journal=args.journal):

@@ -18,7 +18,7 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentScale,
     register,
-    run_system,
+    run_systems,
 )
 from repro.scenario.params import ScenarioParams
 
@@ -32,15 +32,18 @@ def run(scale: ExperimentScale,
     config = params.machine
     rows: List[List] = []
     l2_ratios = []
-    for factor in params.axis("factors"):
-        point = ExperimentScale(
+    points = [
+        ExperimentScale(
             instructions_per_benchmark=max(
                 10_000, int(scale.instructions_per_benchmark * factor)),
             level=scale.level,
             time_slice=max(5_000, int(scale.time_slice * factor)),
             warmup_fraction=scale.warmup_fraction,
         )
-        stats = run_system(config, point)
+        for factor in params.axis("factors")
+    ]
+    grid = run_systems([config] * len(points), scale, scales=points)
+    for point, stats in zip(points, grid):
         global_l2 = 1000.0 * stats.l2_misses / max(stats.instructions, 1)
         rows.append([
             point.instructions_per_benchmark,

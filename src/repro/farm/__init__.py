@@ -4,9 +4,9 @@ The paper's evaluation is a grid of independent simulation points — it was
 farmed out as "a separate simulator binary per configuration".  This
 package is that farm for the reproduction:
 
-* :mod:`repro.farm.pool` — forked worker pool with per-task timeout,
-  bounded crash retry, deterministic result ordering, and an in-process
-  fallback;
+* :mod:`repro.farm.pool` — warm forked worker pool with per-task
+  timeout, kill-and-replace crash retry, deterministic result ordering,
+  and an in-process fallback;
 * :mod:`repro.farm.cache` — SHA-256 content-addressed :class:`SimStats`
   cache (atomic, checksummed entries; corruption degrades to a miss);
 * :mod:`repro.farm.points` — sweep points as farm tasks;
@@ -34,7 +34,7 @@ from repro.farm.cache import (
 )
 from repro.farm.context import FarmContext, current_context, farm_session
 from repro.farm.points import PointSpec, execute_point, run_points
-from repro.farm.pool import fork_available, run_tasks
+from repro.farm.pool import WorkerPool, fork_available, run_tasks
 from repro.farm.telemetry import RunTelemetry
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "PointSpec",
     "execute_point",
     "run_points",
+    "WorkerPool",
     "fork_available",
     "run_tasks",
     "RunTelemetry",

@@ -8,8 +8,9 @@ codebase.  Instead the runner (or any caller) opens a session::
     with farm_session(jobs=4, cache_dir="~/.cache/repro-farm") as ctx:
         run_experiment("fig5")          # every point inside is cached
 
-and ``run_point`` / ``run_sweep`` consult :func:`current_context` for the
-active cache, telemetry sink, and default job count.  Sessions nest; the
+and ``run_point`` / ``run_sweep`` / ``run_systems`` consult
+:func:`current_context` for the active cache, telemetry sink, and worker
+count.  Sessions nest; the
 innermost wins (a pool worker opens its own ``jobs=1`` session so nothing
 forks twice).
 """
@@ -30,7 +31,9 @@ from repro.farm.telemetry import RunTelemetry
 class FarmContext:
     """The active execution policy for sweep points."""
 
-    #: Default worker count for ``run_sweep``-style batch calls.
+    #: Warm forked workers for batched point execution: a figure's whole
+    #: grid (``run_systems``, ``run_sweep``) fans out across this many;
+    #: a lone ``run_point``/``run_system`` call stays in-process.
     jobs: int = 1
     cache: Optional[ResultCache] = None
     telemetry: Optional[RunTelemetry] = None
@@ -88,7 +91,8 @@ def farm_session(jobs: int = 1,
     """Activate a :class:`FarmContext` for the duration of the block.
 
     Args:
-        jobs: default parallelism for batched point execution.
+        jobs: warm forked workers for batched point execution (a
+            figure's grid); 1 runs every point in-process.
         cache: an existing :class:`ResultCache` to use.
         cache_dir: build a cache rooted here (ignored if ``cache`` given).
         no_cache: disable result caching entirely.

@@ -8,7 +8,8 @@ one description, a cached result is by construction the result of the
 keyed computation.
 
 :func:`run_points` is the farm's main entry: cache-probe every point,
-execute the misses through :func:`repro.farm.pool.run_tasks`, store and
+execute the misses as one batch through :func:`repro.farm.pool.run_tasks`
+(warm forked workers when ``jobs > 1``), store and
 narrate each result, and return stats **in input order** — callers cannot
 observe whether a point came from silicon or disk.
 """
@@ -161,7 +162,9 @@ def run_points(specs: Sequence[PointSpec],
 
     Args:
         specs: the points to produce results for.
-        jobs: worker processes for the misses (1 = in-process).
+        jobs: warm forked workers the misses fan out across, all in one
+            :class:`~repro.farm.pool.WorkerPool` for the call (1 =
+            in-process, serially).
         cache: optional result cache probed/filled per point.
         telemetry: optional sink for per-point events.
         timeout: per-point wall-clock limit (parallel mode).

@@ -146,7 +146,7 @@ def _generic_sweep(resolved: ResolvedScenario):
     """Sweep dotted-path axes over the base document, one run per point."""
     import copy
 
-    from repro.experiments.common import ExperimentResult, run_system
+    from repro.experiments.common import ExperimentResult, run_systems
     from repro.scenario.resolve import _build
 
     for name in resolved.axes:
@@ -156,15 +156,18 @@ def _generic_sweep(resolved: ResolvedScenario):
                 f"generic sweep axis {name!r} must start with 'machine.' "
                 "or 'workload.' (or set scenario.experiment to drive a "
                 "registered experiment)")
-    points = expand_grid(resolved.axes, resolved.sweep_mode)
+    assignments = expand_grid(resolved.axes, resolved.sweep_mode) or [{}]
     headers = [*resolved.axes, "CPI", "memory CPI"]
-    rows: List[List[Any]] = []
-    for assignment in points or [{}]:
+    points = []
+    for assignment in assignments:
         doc = copy.deepcopy(resolved.document)
         for dotted, value in assignment.items():
             _set_path(doc, dotted, value)
-        point = _build(doc, None)
-        stats = run_system(point.machine, point.scale)
+        points.append(_build(doc, None))
+    grid = run_systems([point.machine for point in points], points[0].scale,
+                       scales=[point.scale for point in points])
+    rows: List[List[Any]] = []
+    for assignment, point, stats in zip(assignments, points, grid):
         cpi = stats.cpi(point.machine.cpu_stall_cpi)
         rows.append([*assignment.values(), round(cpi, 3),
                      round(stats.memory_cpi, 3)])

@@ -16,14 +16,16 @@ Failure model (see DESIGN.md §10 for the full policy):
   ``deadline_s``, clamped to a server maximum).  The clock starts at
   admission, so time spent queued counts.  Expiry anywhere — still
   queued, or mid-simulation — yields ``504``; under fork isolation the
-  farm pool's timeout machinery *kills* the worker so a runaway
-  simulation cannot hold a slot.
+  farm pool's timeout machinery *kills* the worker (and forks a fresh
+  one) so a runaway simulation cannot hold a slot.
 * **Worker faults** — simulations run in forked pool workers (when the
-  platform can fork); a crashed worker is retried within the pool's
-  budget, a stalled one is bounded by the deadline.  Either the client
-  gets a correct result or an explicit 5xx — never a wrong CPI, because
-  results are only ever produced by the same ``execute_point`` the batch
-  farm uses and cache entries are checksummed (corruption = miss).
+  platform can fork): each executor thread owns one warm worker for the
+  server's lifetime.  A crashed worker is replaced and the request
+  retried within the pool's budget, a stalled one is bounded by the
+  deadline.  Either the client gets a correct result or an explicit 5xx
+  — never a wrong CPI, because results are only ever produced by the
+  same ``execute_point`` the batch farm uses and cache entries are
+  checksummed (corruption = miss).
 * **Shutdown** — SIGTERM/SIGINT starts a graceful drain: readiness goes
   503, new work is rejected, queued and in-flight simulations get a grace
   period to finish; whatever is still running when the grace expires is
@@ -59,7 +61,7 @@ from repro.errors import (
 )
 from repro.farm.cache import ResultCache
 from repro.farm.points import PointSpec, execute_point
-from repro.farm.pool import fork_available, run_tasks
+from repro.farm.pool import WorkerPool, fork_available
 from repro.farm.telemetry import RunTelemetry
 from repro.obs.metrics import (
     PROMETHEUS_CONTENT_TYPE,
@@ -103,9 +105,10 @@ class ServeSettings:
     retry_after_s: float = 1.0
     #: Crash/timeout re-runs granted to a simulation's pool worker.
     retries: int = 1
-    #: ``"fork"`` (pool worker per simulation, hard kills), ``"inline"``
-    #: (in-thread, cooperative deadline, drain-checkpointing), or
-    #: ``"auto"`` (fork when the platform supports it).
+    #: ``"fork"`` (each executor thread feeds one warm forked worker,
+    #: killed and replaced on a deadline, crash or stuck lease),
+    #: ``"inline"`` (in-thread, cooperative deadline, drain-checkpointing),
+    #: or ``"auto"`` (fork when the platform supports it).
     isolation: str = "auto"
     #: Spool directory for drain checkpoints (inline isolation).
     checkpoint_dir: Optional[Path] = None
@@ -144,6 +147,10 @@ class ServeSettings:
             raise ConfigurationError(
                 f"isolation must be 'auto', 'fork', or 'inline', got "
                 f"{self.isolation!r}")
+        if self.isolation == "fork" and not fork_available():
+            raise ConfigurationError(
+                "isolation 'fork' needs the 'fork' start method, which "
+                "this platform lacks; use 'auto' or 'inline'")
 
     def effective_isolation(self) -> str:
         if self.isolation == "auto":
@@ -289,6 +296,10 @@ class SimServer:
         self._stopping = threading.Event()
         self._started = time.monotonic()
         self._workers: List[threading.Thread] = []
+        #: One warm worker pool per executor thread (fork isolation);
+        #: ``_local.pool`` is the calling executor thread's own.
+        self._pools: List[WorkerPool] = []
+        self._local = threading.local()
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
 
@@ -363,6 +374,8 @@ class SimServer:
         self._stopping.set()
         for worker in self._workers:
             worker.join(timeout=1.0)
+        for pool in self._pools:
+            pool.close()
         if self._httpd is not None:
             self._httpd.shutdown()
             if self._http_thread is not None:
@@ -506,6 +519,10 @@ class SimServer:
     # --------------------------------------------------------------- executor
 
     def _worker_loop(self) -> None:
+        if self.settings.effective_isolation() == "fork":
+            # Forks lazily, on this thread's first simulation.
+            self._local.pool = WorkerPool(_simulate, 1)
+            self._pools.append(self._local.pool)
         while True:
             try:
                 job = self.queue.get(timeout=_TICK)
@@ -612,9 +629,9 @@ class SimServer:
                                       wall_s=time.monotonic() - started))
 
     def _execute_forked(self, job: _Job, remaining: float):
-        """One simulation in a forked pool worker: the pool's timeout
-        machinery enforces the deadline with a real kill, and crash
-        retries come for free."""
+        """One simulation in this executor's warm pool worker: the pool's
+        timeout machinery enforces the deadline with a real kill (and a
+        fresh fork), and crash retries come for free."""
         # The trace ID rides in a copy of the payload — ``execute_point``
         # treats it as out-of-band, and the cache key comes from
         # ``spec.key()`` over the pristine payload, so caching is unaffected.
@@ -633,15 +650,14 @@ class SimServer:
 
             def on_heartbeat(_index: int) -> None:
                 self.metrics.count_lease_renewal()
-        value = run_tasks(execute_point, [payload],
-                          jobs=2,  # parallel path: one child, killable
-                          timeout=remaining,
-                          retries=self.settings.retries,
-                          labels=[job.spec.label],
-                          stop_event=job.stop,
-                          heartbeat_s=heartbeat,
-                          lease_s=lease,
-                          on_heartbeat=on_heartbeat)[0]
+        value = self._local.pool.run([payload],
+                                     timeout=remaining,
+                                     retries=self.settings.retries,
+                                     labels=[job.spec.label],
+                                     stop_event=job.stop,
+                                     heartbeat_s=heartbeat,
+                                     lease_s=lease,
+                                     on_heartbeat=on_heartbeat)[0]
         for record in value.get("trace_spans", ()):
             job.trace.add_record(record)
         if value.get("obs"):
@@ -684,6 +700,13 @@ class SimServer:
                 warmup_instructions=spec.warmup_instructions,
                 on_slice=on_slice)
         return stats, time.monotonic() - started
+
+
+def _simulate(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The pool workers' task: ``execute_point`` as this module's global
+    names it when the worker forks (so a substitution made before the
+    first simulation reaches the workers)."""
+    return execute_point(payload)
 
 
 # ------------------------------------------------------------- HTTP front end
