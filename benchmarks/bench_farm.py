@@ -6,8 +6,14 @@ requested job count, twice per count — once with local worker processes
 (``jobs=N``) and once distributed over N freshly launched
 ``repro-serve`` backends (:class:`repro.grid.backends.BackendPool`) —
 with caching disabled everywhere so every run pays full simulation
-cost.  Every run's results must be **bit-identical** to the ``jobs=1``
-baseline; the wall-clock curve goes to ``BENCH_farm.json``.  Usage::
+cost.  At each job count it also runs the grid locally through an empty
+result cache three times: with the trace store switched off (every point
+synthesizes its workload traces), with a cold store (the first point on
+each worker synthesizes and records the traces, the rest replay them)
+and with a warm one (the same cache with its results removed, so every
+point runs again and every trace replays).  Every run's results must be
+**bit-identical** to the ``jobs=1`` baseline; the wall-clock curve goes
+to ``BENCH_farm.json``.  Usage::
 
     PYTHONPATH=src python benchmarks/bench_farm.py \\
         [--jobs-list 1,2,4] [--out PATH] [--smoke]
@@ -15,8 +21,9 @@ baseline; the wall-clock curve goes to ``BENCH_farm.json``.  Usage::
 ``--smoke`` shrinks the grid and the curve for CI.  The speedup columns
 are only meaningful on a multi-core machine (``cpu_count`` is recorded
 so readers can judge); ``losing_regimes`` lists every parallel point
-slower than the ``jobs=1`` baseline; the bit-identical gate is
-meaningful everywhere.
+slower than the ``jobs=1`` baseline, and every store run slower than
+the cached run without the store at the same job count; the
+bit-identical gate is meaningful everywhere.
 """
 
 from __future__ import annotations
@@ -25,11 +32,15 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
+from pathlib import Path
 
+import repro.farm.points as points
 from repro.analysis.sweep import run_sweep
 from repro.experiments.common import BENCH_SCALE, workload
 from repro.experiments.fig5_write_policy import config_for, policies_from
+from repro.farm.cache import ResultCache
 from repro.farm.context import farm_session
 from repro.farm.pool import fork_available
 from repro.grid.backends import BackendPool
@@ -49,14 +60,33 @@ def serialized(points):
             for point in points]
 
 
-def timed_local(configs, profiles, jobs):
+def timed_local(configs, profiles, jobs, cache=None):
     start = time.perf_counter()
     points = run_sweep(configs, profiles,
                        time_slice=BENCH_SCALE.time_slice,
                        level=BENCH_SCALE.level,
                        warmup_instructions=BENCH_SCALE.warmup_instructions(),
-                       jobs=jobs, cache=None)
+                       jobs=jobs, cache=cache)
     return time.perf_counter() - start, serialized(points)
+
+
+def timed_stored(configs, profiles, jobs):
+    """``(off, cold, warm)`` cached runs, each ``(wall_s, bytes)``: the
+    trace store switched off, cold, and warm."""
+    with tempfile.TemporaryDirectory(prefix="bench-farm-") as root:
+        with_store = points.with_trace_store
+        points.with_trace_store = lambda payload, cache: payload
+        try:
+            off = timed_local(configs, profiles, jobs,
+                              ResultCache(Path(root) / "off"))
+        finally:
+            points.with_trace_store = with_store
+        cache = ResultCache(Path(root) / "store")
+        cold = timed_local(configs, profiles, jobs, cache)
+        for path in cache.root.glob("*.json"):
+            path.unlink()  # results go, traces stay
+        warm = timed_local(configs, profiles, jobs, cache)
+    return off, cold, warm
 
 
 def timed_distributed(configs, profiles, backends):
@@ -123,16 +153,29 @@ def main(argv=None) -> int:
             local_s, local_bytes = timed_local(configs, profiles, jobs)
             print(f"[bench_farm] local jobs={jobs}: {local_s:.2f}s",
                   file=sys.stderr)
+        (off_s, off_bytes), (cold_s, cold_bytes), (warm_s, warm_bytes) = \
+            timed_stored(configs, profiles, jobs)
+        print(f"[bench_farm] local jobs={jobs}, cached, trace store off: "
+              f"{off_s:.2f}s, cold: {cold_s:.2f}s, warm: {warm_s:.2f}s",
+              file=sys.stderr)
         dist_s, dist_bytes = timed_distributed(configs, profiles, jobs)
         print(f"[bench_farm] distributed backends={jobs}: {dist_s:.2f}s",
               file=sys.stderr)
         identical = (identical and local_bytes == baseline_bytes
+                     and off_bytes == baseline_bytes
+                     and cold_bytes == baseline_bytes
+                     and warm_bytes == baseline_bytes
                      and dist_bytes == baseline_bytes)
         curve.append({
             "jobs": jobs,
             "local_wall_s": round(local_s, 3),
             "local_speedup": round(baseline_s / local_s, 3)
             if local_s else None,
+            "store_off_wall_s": round(off_s, 3),
+            "store_cold_wall_s": round(cold_s, 3),
+            "store_cold_gain": round(off_s / cold_s, 3),
+            "store_warm_wall_s": round(warm_s, 3),
+            "store_warm_gain": round(off_s / warm_s, 3),
             "distributed_backends": jobs,
             "distributed_wall_s": round(dist_s, 3),
             "distributed_speedup": round(baseline_s / dist_s, 3)
@@ -146,6 +189,10 @@ def main(argv=None) -> int:
               for point in curve for kind in ("local", "distributed")
               if point["jobs"] > 1 and point[f"{kind}_speedup"] is not None
               and point[f"{kind}_speedup"] < 1.0]
+    losing += [f"trace store {tier} jobs={point['jobs']}: "
+               f"{point[f'store_{tier}_gain']}x of the store off"
+               for point in curve for tier in ("cold", "warm")
+               if point[f"store_{tier}_gain"] < 1.0]
     report = {
         "benchmark": "farm_scaling_curve",
         "grid": "fig5" if not args.smoke else "fig5[:6]",

@@ -78,6 +78,11 @@ class Simulation:
     #: from :data:`repro.energy.ENERGY_TECHNOLOGIES`, or an
     #: :class:`~repro.energy.EnergyModel`.
     energy: Optional[object] = None
+    #: Where the trace sources come from: ``None`` synthesizes every
+    #: profile (the default), a :class:`repro.trace.store.TraceStore`
+    #: replays stored traces and records the ones it lacks.  Either way
+    #: the batches are identical.
+    trace_store: Optional[object] = None
     memsys: MemorySystem = field(init=False)
     scheduler: Scheduler = field(init=False)
     page_table: PageTable = field(init=False)
@@ -87,9 +92,11 @@ class Simulation:
                                    energy=self.energy)
         self.page_table = PageTable()
         self.page_table.follow(self.memsys)
+        store = self.trace_store
         processes: List[Process] = [
             Process(pid=i + 1, name=profile.name,
-                    source=SyntheticBenchmark(profile),
+                    source=(SyntheticBenchmark(profile) if store is None
+                            else store.source(profile)),
                     page_table=self.page_table,
                     trace_errors=self.trace_errors)
             for i, profile in enumerate(self.profiles)

@@ -22,6 +22,11 @@ version, checksum mismatch, key mismatch, malformed stats — is *detected
 and treated as a miss* (the bad file is unlinked best-effort); a corrupt
 cache can cost time, never correctness.
 
+The same root holds the trace store (:mod:`repro.trace.store`) under
+``traces/``: one ``.npy`` file per workload trace, out of the ``*.json``
+glob, so it never reads as a result.  ``stats``/``gc``/``clear``/``scrub``
+manage both kinds of entry.
+
 The configuration's ``name`` field is deliberately excluded from the
 canonical form: it is documentation, not simulation input, and excluding
 it lets differently-labelled but physically identical machines (the
@@ -42,6 +47,7 @@ from repro.core.engine import DEFAULT_ENGINE
 from repro.core.serialization import config_to_dict, profile_to_dict
 from repro.core.stats import SimStats
 from repro.robust.atomic import atomic_write_text
+from repro.trace.store import CorruptEntry, load_entry
 from repro.trace.synthetic import BenchmarkProfile
 
 PathLike = Union[str, os.PathLike]
@@ -63,6 +69,10 @@ CACHE_MAGIC = "repro-farm"
 #: file is reproducible against the cache by content, and pre-scenario
 #: entries miss instead of masquerading as scenario-verified results.
 CACHE_SCHEMA_VERSION = 4
+
+#: Age (days) past which ``gc`` removes a trace temp file: no recording
+#: takes that long, so its recorder was killed.
+STALE_TEMP_DAYS = 1.0
 
 #: Environment variable overriding the default cache root.
 CACHE_ENV_VAR = "REPRO_FARM_CACHE"
@@ -173,10 +183,16 @@ class ResultCache:
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
+    @property
+    def traces_root(self) -> Path:
+        """The trace store's directory (:mod:`repro.trace.store`)."""
+        return self.root / "traces"
+
     def _entry_paths(self) -> Iterator[Path]:
-        if not self.root.is_dir():
-            return iter(())
-        return iter(sorted(self.root.glob("*.json")))
+        return _glob(self.root, "*.json")
+
+    def _trace_paths(self) -> Iterator[Path]:
+        return _glob(self.traces_root, "*.npy")
 
     # ----------------------------------------------------------------- lookup
 
@@ -263,8 +279,9 @@ class ResultCache:
         return self.root / "quarantine"
 
     def scrub(self, quarantine: bool = True) -> Dict[str, Any]:
-        """Proactively verify every entry's checksum; corrupt entries are
-        moved into ``quarantine/`` (or unlinked with ``quarantine=False``).
+        """Proactively verify every result and trace entry's checksum;
+        corrupt entries are moved into ``quarantine/`` (or unlinked with
+        ``quarantine=False``).
 
         ``get`` already detects corruption lazily — but only for keys
         that are asked for again, and it *deletes* the evidence.  A scrub
@@ -276,13 +293,13 @@ class ResultCache:
         ``quarantined``, ``removed``, ``quarantine_dir``.
         """
         checked = ok = corrupt = quarantined = removed = 0
-        for path in self._entry_paths():
+        for path in list(self._entry_paths()) + list(self._trace_paths()):
             try:
-                blob = path.read_bytes()
+                valid = self._valid(path)
             except OSError:
                 continue  # vanished under us (concurrent gc/clear): skip
             checked += 1
-            if self._verify(blob, path.stem, path) is not None:
+            if valid:
                 ok += 1
                 continue
             corrupt += 1
@@ -307,6 +324,16 @@ class ResultCache:
             "quarantine_dir": str(self.quarantine_dir),
         }
 
+    def _valid(self, path: Path) -> bool:
+        """Whether the result or trace entry at ``path`` verifies."""
+        if path.suffix == ".npy":
+            try:
+                load_entry(path)
+            except CorruptEntry:
+                return False
+            return True
+        return self._verify(path.read_bytes(), path.stem, path) is not None
+
     def entries(self) -> Iterator[Tuple[Path, Dict[str, Any]]]:
         """Yield ``(path, meta)`` for every readable entry."""
         for path in self._entry_paths():
@@ -319,40 +346,28 @@ class ResultCache:
 
     def gc(self, max_age_days: Optional[float] = None,
            keep: Optional[int] = None) -> int:
-        """Drop entries older than ``max_age_days`` and/or all but the
-        newest ``keep``; returns the number removed.
+        """Drop result entries older than ``max_age_days`` and/or all but
+        the newest ``keep``, and the same for trace entries (a hit
+        refreshes a trace's age); returns the number removed.
 
         Safe to run concurrently with readers, writers, and other
         collectors: every ``stat``/``unlink`` tolerates the file vanishing
         between the directory listing and the call (the classic TOCTOU) —
         a racing :meth:`get` then simply sees a miss and re-simulates.
+        Trace temp files a killed recorder left behind go once they are
+        :data:`STALE_TEMP_DAYS` old.
         """
-        ages: Dict[Path, float] = {}
-        for path in self._entry_paths():
-            try:
-                ages[path] = path.stat().st_mtime
-            except OSError:
-                continue  # vanished under us (concurrent gc/clear): skip
-        by_age = sorted(ages, key=ages.get, reverse=True)
-        doomed = set()
-        if max_age_days is not None:
-            cutoff = time.time() - max_age_days * 86400.0
-            doomed.update(p for p, mtime in ages.items() if mtime < cutoff)
-        if keep is not None:
-            doomed.update(by_age[keep:])
-        removed = 0
-        for path in doomed:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        stale = _glob(self.traces_root, ".*.tmp")
+        return (_prune(self._entry_paths(), max_age_days, keep)
+                + _prune(self._trace_paths(), max_age_days, keep)
+                + _prune(stale, STALE_TEMP_DAYS, None))
 
     def clear(self) -> int:
-        """Remove every entry; returns the number removed."""
+        """Remove every result and trace entry; returns the number
+        removed."""
         removed = 0
-        for path in self._entry_paths():
+        for path in [*self._entry_paths(), *self._trace_paths(),
+                     *_glob(self.traces_root, ".*.tmp")]:
             try:
                 path.unlink()
                 removed += 1
@@ -363,20 +378,61 @@ class ResultCache:
     def stats(self) -> Dict[str, Any]:
         """On-disk totals plus this process's hit/miss accounting."""
         paths = list(self._entry_paths())
-        total_bytes = 0
-        for path in paths:
-            try:
-                total_bytes += path.stat().st_size
-            except OSError:
-                pass
+        total_bytes = _size(paths)
+        traces = list(self._trace_paths())
         lookups = self.hits + self.misses
         return {
             "root": str(self.root),
             "entries": len(paths),
             "bytes": total_bytes,
+            "trace_entries": len(traces),
+            "trace_bytes": _size(traces),
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
             "corrupt_dropped": self.corrupt_dropped,
             "hit_rate": self.hits / lookups if lookups else 0.0,
         }
+
+
+def _glob(root: Path, pattern: str) -> Iterator[Path]:
+    if not root.is_dir():
+        return iter(())
+    return iter(sorted(root.glob(pattern)))
+
+
+def _size(paths) -> int:
+    total = 0
+    for path in paths:
+        try:
+            total += path.stat().st_size
+        except OSError:
+            pass  # vanished under us (concurrent gc/clear)
+    return total
+
+
+def _prune(paths: Iterator[Path], max_age_days: Optional[float],
+           keep: Optional[int]) -> int:
+    """Unlink the ``paths`` older than ``max_age_days`` and/or all but
+    the newest ``keep``; returns the number removed."""
+    ages: Dict[Path, float] = {}
+    for path in paths:
+        try:
+            ages[path] = path.stat().st_mtime
+        except OSError:
+            continue  # vanished under us (concurrent gc/clear): skip
+    by_age = sorted(ages, key=ages.get, reverse=True)
+    doomed = set()
+    if max_age_days is not None:
+        cutoff = time.time() - max_age_days * 86400.0
+        doomed.update(p for p, mtime in ages.items() if mtime < cutoff)
+    if keep is not None:
+        doomed.update(by_age[keep:])
+    removed = 0
+    for path in doomed:
+        try:
+            path.unlink()
+            removed += 1
+        except OSError:
+            pass
+    return removed

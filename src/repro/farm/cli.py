@@ -2,13 +2,16 @@
 
 Usage::
 
-    repro-farm stats                     # entry count, bytes, root
+    repro-farm stats                     # entry counts, bytes, root
     repro-farm stats --json              # machine-readable
     repro-farm gc --max-age-days 30      # drop stale entries
     repro-farm gc --keep 1000            # keep only the newest 1000
     repro-farm clear                     # drop everything
     repro-farm scrub                     # verify checksums, quarantine
     repro-farm scrub --remove            # ... or delete corrupt entries
+
+Every command covers both the results and the stored workload traces
+under ``traces/`` (``gc --keep N`` keeps the newest N of each).
 
 The cache root is ``--cache-dir``, else ``$REPRO_FARM_CACHE``, else
 ``~/.cache/repro-farm``.
@@ -74,6 +77,8 @@ def _cmd_stats(cache: ResultCache, args) -> int:
     print(f"cache root : {info['root']}")
     print(f"entries    : {info['entries']}")
     print(f"size       : {info['bytes'] / 1024:.1f} KiB")
+    print(f"traces     : {info['trace_entries']} "
+          f"({info['trace_bytes'] / 1024:.1f} KiB)")
     if args.entries:
         for path, meta in cache.entries():
             label = meta.get("label", "?")

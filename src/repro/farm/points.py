@@ -109,18 +109,30 @@ def execute_point(payload: Dict[str, Any]) -> Dict[str, Any]:
         from repro.energy import EnergyModel
 
         energy = EnergyModel.from_params(energy)
+    # Likewise out-of-band: "trace_store" names the store the workload's
+    # traces replay from (see with_trace_store); the batches are identical
+    # either way, so it is no part of the key.
+    store = None
+    if payload.get("trace_store"):
+        from repro.trace.store import TraceStore
+
+        store = TraceStore(payload["trace_store"])
     started = time.monotonic()
-    sim = Simulation(config=config, profiles=profiles,
-                     time_slice=payload["time_slice"],
-                     level=payload["level"],
-                     warmup_instructions=payload["warmup_instructions"],
-                     engine=payload.get("engine", DEFAULT_ENGINE),
-                     energy=energy)
-    if trace is not None:
-        with obs.activate_trace(trace):
+    try:
+        sim = Simulation(config=config, profiles=profiles,
+                         time_slice=payload["time_slice"],
+                         level=payload["level"],
+                         warmup_instructions=payload["warmup_instructions"],
+                         engine=payload.get("engine", DEFAULT_ENGINE),
+                         energy=energy, trace_store=store)
+        if trace is not None:
+            with obs.activate_trace(trace):
+                stats = sim.run(max_instructions=payload["max_instructions"])
+        else:
             stats = sim.run(max_instructions=payload["max_instructions"])
-    else:
-        stats = sim.run(max_instructions=payload["max_instructions"])
+    finally:
+        if store is not None:
+            store.close()
     wall_s = time.monotonic() - started
     # Per-task registry, not the global one: a forked worker inherits the
     # parent's global counters and the inline pool *is* the parent, so
@@ -137,6 +149,13 @@ def execute_point(payload: Dict[str, Any]) -> Dict[str, Any]:
         task_metrics.counter("sim_energy_pj_total",
                              "accounted energy (picojoules)"
                              ).inc(stats.energy_total_fj // 1000)
+    if store is not None:
+        lookups = task_metrics.counter(
+            "sim_trace_store_total", "trace store lookups by outcome",
+            labels=("outcome",))
+        for outcome, count in store.counts.items():
+            if count:
+                lookups.labels(outcome).inc(count)
     result = {
         "stats": stats.to_dict(),
         "wall_s": wall_s,
@@ -145,6 +164,16 @@ def execute_point(payload: Dict[str, Any]) -> Dict[str, Any]:
     if trace is not None:
         result["trace_spans"] = trace.spans
     return result
+
+
+def with_trace_store(payload: Dict[str, Any],
+                     cache: Optional[ResultCache]) -> Dict[str, Any]:
+    """``payload`` with the out-of-band ``trace_store`` key pointing into
+    ``cache`` (a copy; unchanged when there is no cache): a cached run
+    synthesizes each workload trace once and replays it at every point."""
+    if cache is None:
+        return payload
+    return dict(payload, trace_store=str(cache.traces_root))
 
 
 def run_points(specs: Sequence[PointSpec],
@@ -229,7 +258,7 @@ def run_points(specs: Sequence[PointSpec],
                 telemetry.registry.merge(value["obs"])
 
     run_tasks(execute_point,
-              [specs[i].payload() for i in todo],
+              [with_trace_store(specs[i].payload(), cache) for i in todo],
               jobs=jobs,
               timeout=timeout,
               retries=retries,
@@ -315,7 +344,8 @@ def _run_points_durable(specs: Sequence[PointSpec], jobs, cache, telemetry,
                     telemetry.registry.merge(value["obs"])
 
         run_tasks(execute_point,
-                  [specs[i].payload() for i in todo],
+                  [with_trace_store(specs[i].payload(), cache)
+                   for i in todo],
                   jobs=jobs,
                   timeout=timeout,
                   retries=settings.max_point_retries,

@@ -60,7 +60,7 @@ from repro.errors import (
     ServeError,
 )
 from repro.farm.cache import ResultCache
-from repro.farm.points import PointSpec, execute_point
+from repro.farm.points import PointSpec, execute_point, with_trace_store
 from repro.farm.pool import WorkerPool, fork_available
 from repro.farm.telemetry import RunTelemetry
 from repro.obs.metrics import (
@@ -632,11 +632,12 @@ class SimServer:
         """One simulation in this executor's warm pool worker: the pool's
         timeout machinery enforces the deadline with a real kill (and a
         fresh fork), and crash retries come for free."""
-        # The trace ID rides in a copy of the payload — ``execute_point``
-        # treats it as out-of-band, and the cache key comes from
-        # ``spec.key()`` over the pristine payload, so caching is unaffected.
-        payload = dict(job.spec.payload())
-        payload["obs_trace"] = job.trace.trace_id
+        # The trace ID and the trace store ride in a copy of the payload —
+        # ``execute_point`` treats both as out-of-band, and the cache key
+        # comes from ``spec.key()`` over the pristine payload, so caching
+        # is unaffected.
+        payload = with_trace_store(job.spec.payload(), self.cache)
+        payload = dict(payload, obs_trace=job.trace.trace_id)
         # Long-deadline requests get worker-side lease renewal: the child
         # heartbeats over the result pipe, and a beat-less lease expiry
         # kills the stuck worker *now* instead of burning the rest of the

@@ -71,6 +71,14 @@ COLD_BASE = 0x2000_0000 + 211 * _PAGE
 
 _DEFAULT_BATCH = 1 << 16
 
+#: Version of the trace contract above: the draws, their order and the
+#: column layout :class:`SyntheticBenchmark` emits.  It keys the trace
+#: store (:mod:`repro.trace.store`) and is pinned by
+#: ``tests/golden_trace.json``, so a deliberate change to the trace model
+#: bumps it and every stored trace then misses instead of replaying the
+#: old stream.
+GENERATOR_VERSION = 1
+
 
 @dataclass(frozen=True)
 class CodeProfile:

@@ -7,10 +7,12 @@
 * the translated :class:`~repro.sched.process.PreparedBatch` columns of
   the first batches a ``scenarios/base.toml`` run (level 8) prepares.
 
-Trace synthesis and the batch page lookup are pure performance code:
-any change to them must leave every digest as recorded.  The digests
-come from the simulator itself, so a deliberate change to the trace
-model re-records them::
+Trace synthesis, the trace store's record/replay and the batch page
+lookup are pure performance code: any change to them must leave every
+digest as recorded.  The digests come from the simulator itself, so a
+deliberate change to the trace model bumps
+:data:`~repro.trace.synthetic.GENERATOR_VERSION` (which keys every stored
+trace) and re-records them::
 
     PYTHONPATH=src python tests/test_golden_trace.py --record
 """
@@ -30,7 +32,8 @@ from repro.experiments.common import workload
 from repro.scenario import resolve_scenario
 from repro.sched.process import PreparedBatch
 from repro.trace.benchmarks import default_suite
-from repro.trace.synthetic import SyntheticBenchmark
+from repro.trace.store import TraceStore
+from repro.trace.synthetic import GENERATOR_VERSION, SyntheticBenchmark
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("golden_trace.json")
@@ -51,13 +54,14 @@ def _digest(arrays) -> str:
     return sha.hexdigest()
 
 
-def synthesized() -> dict:
-    """Per profile and seed offset, one digest per virtual column."""
+def synthesized(source_for=SyntheticBenchmark) -> dict:
+    """Per profile and seed offset, one digest per virtual column of the
+    trace ``source_for(profile)`` emits."""
     digests = {}
     for offset in SEED_OFFSETS:
         for profile in default_suite(INSTRUCTIONS):
-            source = SyntheticBenchmark(replace(profile,
-                                                seed=profile.seed + offset))
+            source = source_for(replace(profile,
+                                        seed=profile.seed + offset))
             batches = []
             while (batch := source.next_batch()) is not None:
                 batches.append(batch)
@@ -106,6 +110,7 @@ def prepared_digest(pid: int, prepared: PreparedBatch) -> str:
 
 def recorded() -> dict:
     return {
+        "generator_version": GENERATOR_VERSION,
         "instructions_per_benchmark": INSTRUCTIONS,
         "seed_offsets": list(SEED_OFFSETS),
         "synthesized": synthesized(),
@@ -120,9 +125,18 @@ def golden() -> dict:
 
 
 def test_synthesized_columns_match(golden):
+    assert golden["generator_version"] == GENERATOR_VERSION
     assert golden["instructions_per_benchmark"] == INSTRUCTIONS
     assert golden["seed_offsets"] == list(SEED_OFFSETS)
     assert synthesized() == golden["synthesized"]
+
+
+def test_stored_columns_match(golden, tmp_path):
+    # Cold: each source records while it synthesizes; warm: each replays.
+    for outcome in ("miss", "hit"):
+        store = TraceStore(tmp_path)
+        assert synthesized(store.source) == golden["synthesized"]
+        assert store.counts[outcome] == len(golden["synthesized"])
 
 
 @pytest.mark.parametrize("engine", ["native", "reference"])
