@@ -11,7 +11,9 @@ result cache three times: with the trace store switched off (every point
 synthesizes its workload traces), with a cold store (the first point on
 each worker synthesizes and records the traces, the rest replay them)
 and with a warm one (the same cache with its results removed, so every
-point runs again and every trace replays).  Every run's results must be
+point runs again and every trace replays).  Every cell is timed
+:data:`SAMPLES` times and reported as the median wall with its spread
+(max - min) across the samples.  Every run's results must be
 **bit-identical** to the ``jobs=1`` baseline; the wall-clock curve goes
 to ``BENCH_farm.json``.  Usage::
 
@@ -21,9 +23,9 @@ to ``BENCH_farm.json``.  Usage::
 ``--smoke`` shrinks the grid and the curve for CI.  The speedup columns
 are only meaningful on a multi-core machine (``cpu_count`` is recorded
 so readers can judge); ``losing_regimes`` lists every parallel point
-slower than the ``jobs=1`` baseline, and every store run slower than
-the cached run without the store at the same job count; the
-bit-identical gate is meaningful everywhere.
+whose median is slower than the ``jobs=1`` baseline's, and every store
+run whose median is slower than the cached run's without the store at
+the same job count; the bit-identical gate is meaningful everywhere.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -45,6 +48,10 @@ from repro.farm.context import farm_session
 from repro.farm.pool import fork_available
 from repro.grid.backends import BackendPool
 from repro.scenario.driver import default_params
+
+
+#: Timed runs per cell; medians damp the one-off stalls of a shared host.
+SAMPLES = 3
 
 
 def fig5_grid():
@@ -108,6 +115,18 @@ def timed_distributed(configs, profiles, backends):
     return wall, serialized(points)
 
 
+def sampled(run):
+    """``SAMPLES`` calls of ``run() -> (wall_s, output)``, as
+    ``(walls, outputs)``."""
+    walls, outputs = zip(*(run() for _ in range(SAMPLES)))
+    return list(walls), list(outputs)
+
+
+def summary(walls):
+    """``(median, spread)`` of a cell's walls."""
+    return statistics.median(walls), max(walls) - min(walls)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs-list", default=None, metavar="N[,N...]",
@@ -140,47 +159,70 @@ def main(argv=None) -> int:
           f"level {BENCH_SCALE.level}, jobs {jobs_list}, "
           f"{cpus} cpu(s)", file=sys.stderr)
 
-    baseline_s, baseline_bytes = timed_local(configs, profiles, jobs=1)
-    print(f"[bench_farm] local jobs=1 (baseline): {baseline_s:.2f}s",
-          file=sys.stderr)
+    def local(jobs):
+        return sampled(lambda: timed_local(configs, profiles, jobs))
 
-    identical = True
+    def stored(jobs):
+        # One (off, cold, warm) triple per sample -> per tier lists.
+        triples = [timed_stored(configs, profiles, jobs)
+                   for _ in range(SAMPLES)]
+        return {tier: ([run[i][0] for run in triples],
+                       [run[i][1] for run in triples])
+                for i, tier in enumerate(("off", "cold", "warm"))}
+
+    baseline_walls, baseline_outputs = local(1)
+    baseline_s, baseline_spread = summary(baseline_walls)
+    baseline_bytes = baseline_outputs[0]
+    print(f"[bench_farm] local jobs=1 (baseline): {baseline_s:.2f}s "
+          f"(spread {baseline_spread:.2f}s)", file=sys.stderr)
+
+    outputs = list(baseline_outputs)
     curve = []
     for jobs in jobs_list:
         if jobs == 1:
-            local_s, local_bytes = baseline_s, baseline_bytes
+            local_walls = baseline_walls
         else:
-            local_s, local_bytes = timed_local(configs, profiles, jobs)
-            print(f"[bench_farm] local jobs={jobs}: {local_s:.2f}s",
-                  file=sys.stderr)
-        (off_s, off_bytes), (cold_s, cold_bytes), (warm_s, warm_bytes) = \
-            timed_stored(configs, profiles, jobs)
-        print(f"[bench_farm] local jobs={jobs}, cached, trace store off: "
-              f"{off_s:.2f}s, cold: {cold_s:.2f}s, warm: {warm_s:.2f}s",
+            local_walls, local_outputs = local(jobs)
+            outputs += local_outputs
+        local_s, local_spread = summary(local_walls)
+        print(f"[bench_farm] local jobs={jobs}: {local_s:.2f}s",
               file=sys.stderr)
-        dist_s, dist_bytes = timed_distributed(configs, profiles, jobs)
+        tiers = stored(jobs)
+        store = {}
+        for tier, (walls, tier_outputs) in tiers.items():
+            store[tier] = summary(walls)
+            outputs += tier_outputs
+        print(f"[bench_farm] local jobs={jobs}, cached, trace store off: "
+              f"{store['off'][0]:.2f}s, cold: {store['cold'][0]:.2f}s, "
+              f"warm: {store['warm'][0]:.2f}s", file=sys.stderr)
+        dist_walls, dist_outputs = sampled(
+            lambda: timed_distributed(configs, profiles, jobs))
+        outputs += dist_outputs
+        dist_s, dist_spread = summary(dist_walls)
         print(f"[bench_farm] distributed backends={jobs}: {dist_s:.2f}s",
               file=sys.stderr)
-        identical = (identical and local_bytes == baseline_bytes
-                     and off_bytes == baseline_bytes
-                     and cold_bytes == baseline_bytes
-                     and warm_bytes == baseline_bytes
-                     and dist_bytes == baseline_bytes)
+        off_s = store["off"][0]
         curve.append({
             "jobs": jobs,
             "local_wall_s": round(local_s, 3),
+            "local_spread_s": round(local_spread, 3),
             "local_speedup": round(baseline_s / local_s, 3)
             if local_s else None,
             "store_off_wall_s": round(off_s, 3),
-            "store_cold_wall_s": round(cold_s, 3),
-            "store_cold_gain": round(off_s / cold_s, 3),
-            "store_warm_wall_s": round(warm_s, 3),
-            "store_warm_gain": round(off_s / warm_s, 3),
+            "store_off_spread_s": round(store["off"][1], 3),
+            "store_cold_wall_s": round(store["cold"][0], 3),
+            "store_cold_spread_s": round(store["cold"][1], 3),
+            "store_cold_gain": round(off_s / store["cold"][0], 3),
+            "store_warm_wall_s": round(store["warm"][0], 3),
+            "store_warm_spread_s": round(store["warm"][1], 3),
+            "store_warm_gain": round(off_s / store["warm"][0], 3),
             "distributed_backends": jobs,
             "distributed_wall_s": round(dist_s, 3),
+            "distributed_spread_s": round(dist_spread, 3),
             "distributed_speedup": round(baseline_s / dist_s, 3)
             if dist_s else None,
         })
+    identical = all(out == baseline_bytes for out in outputs)
 
     # A regime where the parallel path is slower than the serial baseline
     # is reported as such, in the JSON itself.
@@ -202,7 +244,9 @@ def main(argv=None) -> int:
         "time_slice": BENCH_SCALE.time_slice,
         "fork_available": fork_available(),
         "cpu_count": cpus,
+        "samples": SAMPLES,
         "baseline_wall_s": round(baseline_s, 3),
+        "baseline_spread_s": round(baseline_spread, 3),
         "curve": curve,
         "losing_regimes": losing,
         "bit_identical": identical,

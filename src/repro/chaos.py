@@ -213,6 +213,38 @@ _SERVE_FAILURES = {429: "shed", 504: "deadline_expired", 503: "unavailable",
                    500: "server_error", 0: "gave_up"}
 
 
+def _ask(client, body: Dict[str, Any], truth: Optional[Dict[str, int]],
+         index: int, budget_s: float, report: ChaosReport,
+         lock: threading.Lock) -> None:
+    """One request, counted and checked; ``truth`` is ``None`` for a
+    hopeless one, which must never come back 200."""
+    with lock:
+        report.counts["requests"] += 1
+        report.counts["hopeless_sent"] += int(truth is None)
+    try:
+        result = client.simulate(body, budget_s=budget_s)
+    except ServeError as exc:
+        with lock:
+            if exc.status in _SERVE_FAILURES:
+                report.counts[_SERVE_FAILURES[exc.status]] += 1
+            else:
+                report.violations.append(
+                    f"unclassified failure status {exc.status}: {exc}")
+        return
+    with lock:
+        if truth is None:
+            report.violations.append(
+                "hopeless request (deadline far below simulation time) "
+                "returned 200 — deadline not enforced")
+            return
+        report.counts["ok"] += 1
+        report.counts["ok_cached"] += int(bool(result.get("cached")))
+        if result.get("stats") != truth:
+            report.violations.append(
+                f"point {index}: 200 response diverged from ground "
+                f"truth (cached={result.get('cached')})")
+
+
 def _client_loop(client, bodies: List[Dict[str, Any]],
                  truths: List[Dict[str, int]], hopeless: Dict[str, Any],
                  hopeless_every: int, stop_at: float, rng: random.Random,
@@ -220,37 +252,15 @@ def _client_loop(client, bodies: List[Dict[str, Any]],
     sent = 0
     while time.monotonic() < stop_at:
         sent += 1
-        is_hopeless = hopeless_every > 0 and sent % hopeless_every == 0
         index = rng.randrange(len(bodies))
-        with lock:
-            report.counts["requests"] += 1
-            report.counts["hopeless_sent"] += int(is_hopeless)
-        try:
-            # Hopeless requests get a short budget: every attempt is a
-            # guaranteed 504, so retrying them at length proves nothing.
-            result = client.simulate(
-                hopeless if is_hopeless else bodies[index],
-                budget_s=1.0 if is_hopeless else 10.0)
-        except ServeError as exc:
-            with lock:
-                if exc.status in _SERVE_FAILURES:
-                    report.counts[_SERVE_FAILURES[exc.status]] += 1
-                else:
-                    report.violations.append(
-                        f"unclassified failure status {exc.status}: {exc}")
-            continue
-        with lock:
-            if is_hopeless:
-                report.violations.append(
-                    "hopeless request (deadline far below simulation time) "
-                    "returned 200 — deadline not enforced")
-                continue
-            report.counts["ok"] += 1
-            report.counts["ok_cached"] += int(bool(result.get("cached")))
-            if result.get("stats") != truths[index]:
-                report.violations.append(
-                    f"point {index}: 200 response diverged from ground "
-                    f"truth (cached={result.get('cached')})")
+        if hopeless_every > 0 and sent % hopeless_every == 0:
+            # A short budget: every attempt is a guaranteed 504, so
+            # retrying at length proves nothing.
+            _ask(client, hopeless, None, index, 1.0, report, lock)
+        else:
+            _ask(client, bodies[index], truths[index], index, 10.0,
+                 report, lock)
+    client.close()
 
 
 def run_serve(settings: Optional[ServeChaosSettings] = None) -> ChaosReport:
@@ -284,6 +294,15 @@ def run_serve(settings: Optional[ServeChaosSettings] = None) -> ChaosReport:
                           isolation=settings.isolation),
             cache=ResultCache(Path(cache_dir)))
         server.start()
+        url = f"http://127.0.0.1:{server.port}"
+        # One hopeless request on the idle server, before any load or
+        # fault: under load the storm's own hopeless requests may all be
+        # shed or retried out of budget, so only this probe makes "some
+        # hopeless request came back 504" a deterministic check.
+        probe = ServeClient(url, retry=RetryPolicy(max_attempts=1),
+                            timeout_s=20.0)
+        _ask(probe, hopeless, None, -1, 20.0, report, lock)
+        probe.close()
         previous_faults = os.environ.get(WORKER_FAULT_ENV)
         os.environ[WORKER_FAULT_ENV] = worker_fault_spec(
             crash=settings.worker_crash_p, stall=settings.worker_stall_p,
@@ -294,7 +313,7 @@ def run_serve(settings: Optional[ServeChaosSettings] = None) -> ChaosReport:
                 threads = []
                 for i in range(settings.clients):
                     client = ServeClient(
-                        f"http://127.0.0.1:{server.port}",
+                        url,
                         retry=RetryPolicy(max_attempts=4, base_delay_s=0.05,
                                           max_delay_s=0.5),
                         breaker=CircuitBreaker(failure_threshold=10,

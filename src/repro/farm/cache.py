@@ -208,8 +208,8 @@ class ResultCache:
         except OSError:
             self.misses += 1
             return None
-        payload = self._verify(blob, key, path)
-        if payload is None:
+        stats = self._verify(blob, key)
+        if stats is None:
             self.corrupt_dropped += 1
             self.misses += 1
             try:
@@ -218,9 +218,11 @@ class ResultCache:
                 pass
             return None
         self.hits += 1
-        return SimStats.from_dict(payload["stats"])
+        return stats
 
-    def _verify(self, blob: bytes, key: str, path: Path) -> Optional[dict]:
+    def _verify(self, blob: bytes, key: str) -> Optional[SimStats]:
+        """The stats an entry holds for ``key``, or ``None`` if the
+        entry fails any check."""
         try:
             envelope = json.loads(blob.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
@@ -243,10 +245,9 @@ class ResultCache:
         if not isinstance(stats, dict):
             return None
         try:
-            SimStats.from_dict(stats)
+            return SimStats.from_dict(stats)
         except Exception:
             return None
-        return payload
 
     # ------------------------------------------------------------------ store
 
@@ -332,7 +333,7 @@ class ResultCache:
             except CorruptEntry:
                 return False
             return True
-        return self._verify(path.read_bytes(), path.stem, path) is not None
+        return self._verify(path.read_bytes(), path.stem) is not None
 
     def entries(self) -> Iterator[Tuple[Path, Dict[str, Any]]]:
         """Yield ``(path, meta)`` for every readable entry."""

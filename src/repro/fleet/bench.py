@@ -112,6 +112,8 @@ def _extract_serve(doc: Dict[str, Any]) -> List[Metric]:
                doc.get("speedup_cold_over_warm"), portable=False),
         Metric("warm_roundtrip_s", doc.get("warm_roundtrip_s"),
                better="lower", portable=False),
+        Metric("warm_p50_s", doc.get("warm_p50_s"),
+               better="lower", portable=False),
     ]
 
 

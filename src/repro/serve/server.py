@@ -33,6 +33,12 @@ Failure model (see DESIGN.md §10 for the full policy):
   :mod:`repro.robust.checkpoint` to the spool directory (inline
   isolation) so the work is resumable.  The process then exits 0.
 
+Cache hits are answered on the connection thread, before admission: a
+hit is never queued behind a miss and never shed, only refused (503)
+while draining.  Connections are kept alive (HTTP/1.1) and every
+response leaves in one write with ``TCP_NODELAY`` set; a drain closes
+the kept-alive connections along with the listener.
+
 Observability: ``GET /healthz`` (liveness), ``GET /readyz`` (admission
 state), ``GET /metrics`` (JSON counters: per-class response counts,
 executor outcomes, queue gauges, cache and
@@ -41,15 +47,18 @@ executor outcomes, queue gauges, cache and
 
 from __future__ import annotations
 
+import collections
+import hashlib
 import json
 import queue
+import socket
 import threading
 import time
 import urllib.parse
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.stats import SimStats
 from repro.errors import (
@@ -83,6 +92,14 @@ _TICK = 0.05
 
 #: Bound on the deduplicated recent-trace-ID window ``/metrics`` reports.
 RECENT_TRACES_MAX = 16
+
+#: Parsed request bodies remembered by SHA-256, so a repeated body (the
+#: common case for cache hits) skips parsing and key hashing.
+PARSE_MEMO_MAX = 256
+
+#: A kept-alive connection idle this long is closed by the server; the
+#: client reopens it transparently on its next request.
+KEEPALIVE_IDLE_S = 30.0
 
 
 @dataclass
@@ -197,6 +214,8 @@ class Metrics:
             "serve_request_seconds",
             "request wall-clock seconds by endpoint",
             labels=("endpoint",))
+        self._connections = self.registry.counter(
+            "serve_connections_total", "TCP connections accepted")
         for name in _RESPONSE_CLASSES:
             self._responses.labels(name)
         for name in _EXECUTOR_OUTCOMES:
@@ -216,6 +235,9 @@ class Metrics:
 
     def count_lease_renewal(self) -> None:
         self._lease_renewals.inc()
+
+    def count_connection(self) -> None:
+        self._connections.inc()
 
     def observe_latency(self, endpoint: str, seconds: float) -> None:
         self._latency.labels(endpoint).observe(seconds)
@@ -241,10 +263,10 @@ class _Job:
     thread (which owns the HTTP response) and an executor thread (which
     owns the result)."""
 
-    def __init__(self, spec: PointSpec, deadline: float, deadline_s: float,
-                 trace_id: Optional[str] = None):
+    def __init__(self, spec: PointSpec, key: str, deadline: float,
+                 deadline_s: float, trace: Trace):
         self.spec = spec
-        self.key = spec.key()
+        self.key = key
         self.deadline = deadline          # absolute, time.monotonic()
         self.deadline_s = deadline_s
         self.done = threading.Event()
@@ -253,9 +275,7 @@ class _Job:
         self.body: Dict[str, Any] = error_body(500, "never executed")
         #: End-to-end trace: the connection thread, the executor thread,
         #: and (via the result channel) a forked worker all append spans.
-        #: A client-supplied ``obs_trace`` ID keeps one logical dispatch
-        #: under one ID across grid → serve → worker hops.
-        self.trace = Trace(trace_id)
+        self.trace = trace
         self.enqueued_wall = time.time()
 
     def finish(self, status: int, body: Dict[str, Any]) -> None:
@@ -302,6 +322,15 @@ class SimServer:
         self._local = threading.local()
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
+        #: Open client connections, so a drain can close the kept-alive
+        #: ones; ``_conns_closed`` turns away any accepted after that.
+        self._conns: set = set()
+        self._conns_lock = threading.Condition()
+        self._conns_closed = False
+        #: SHA-256 of a request body → its parse (see :meth:`parse`).
+        self._memo: "collections.OrderedDict[bytes, tuple]" = \
+            collections.OrderedDict()
+        self._memo_lock = threading.Lock()
 
     # --------------------------------------------------------------- lifecycle
 
@@ -382,6 +411,7 @@ class SimServer:
                 self._http_thread.join(timeout=2.0)
             self._httpd.server_close()
             self._httpd = None
+            self._close_connections()
         # Flush: cache entries are already atomic on disk; what needs
         # persisting is the run's accounting.
         summary = {
@@ -495,7 +525,78 @@ class SimServer:
             self.telemetry.registry.snapshot(),
             gauges.snapshot()))
 
+    # ------------------------------------------------------------ connections
+
+    def _track(self, conn: socket.socket) -> None:
+        self.metrics.count_connection()
+        with self._conns_lock:
+            if not self._conns_closed:
+                self._conns.add(conn)
+                return
+        _shut_read(conn)
+
+    def _untrack(self, conn: socket.socket) -> None:
+        with self._conns_lock:
+            self._conns.discard(conn)
+            self._conns_lock.notify_all()
+
+    def _close_connections(self) -> None:
+        """End every kept-alive connection once the listener is gone.
+
+        Shutting the read side wakes a connection thread waiting for its
+        next request with end-of-file, so it closes the socket; a thread
+        still writing a response finishes the write first.  Waits (up to
+        2 s) for the threads to close their sockets, so no request sent
+        after the drain can still be read.
+        """
+        with self._conns_lock:
+            self._conns_closed = True
+            conns = list(self._conns)
+        for conn in conns:
+            _shut_read(conn)
+        with self._conns_lock:
+            self._conns_lock.wait_for(lambda: not self._conns, 2.0)
+
     # -------------------------------------------------------------- admission
+
+    def parse(self, raw: bytes) -> Tuple[PointSpec, Optional[float],
+                                         Optional[str], str]:
+        """``(spec, deadline_s, obs_trace, key)`` of a simulate body.
+
+        Memoized by the body's SHA-256: a repeated body skips parsing and
+        key hashing.  A body that differs in any byte (another
+        ``obs_trace``, say) is parsed afresh.  Malformed bodies raise as
+        :func:`~repro.serve.protocol.parse_simulate_request` does and are
+        never remembered.
+        """
+        digest = hashlib.sha256(raw).digest()
+        with self._memo_lock:
+            parsed = self._memo.get(digest)
+            if parsed is not None:
+                self._memo.move_to_end(digest)
+                return parsed
+        spec, deadline_s, obs_trace = parse_simulate_request(
+            raw, self.settings.max_body_bytes)
+        parsed = (spec, deadline_s, obs_trace, spec.key())
+        with self._memo_lock:
+            self._memo[digest] = parsed
+            while len(self._memo) > PARSE_MEMO_MAX:
+                self._memo.popitem(last=False)
+        return parsed
+
+    def answer_from_cache(self, spec: PointSpec, key: str,
+                          trace: Trace) -> Optional[Dict[str, Any]]:
+        """The 200 body for a cached point, or ``None`` on a miss."""
+        if self.cache is None:
+            return None
+        with span("cache_probe", cat="serve", trace=trace):
+            stats = self.cache.get(key)
+        if stats is None:
+            return None
+        self.metrics.count_executor("cache_hits")
+        self.telemetry.record_point(spec.label, stats.instructions, 0.0,
+                                    cached=True)
+        return render_result(spec, stats, key, cached=True, wall_s=0.0)
 
     def admit(self, job: _Job) -> None:
         """Enqueue a job or shed it (raises :class:`ServeError` 429/503)."""
@@ -555,17 +656,12 @@ class SimServer:
             job.finish(504, error_body(
                 504, f"deadline of {job.deadline_s:g}s expired in queue"))
             return
-        if self.cache is not None:
-            with span("cache_probe", cat="serve", trace=job.trace):
-                hit = self.cache.get(job.key)
-            if hit is not None:
-                self.metrics.count_executor("cache_hits")
-                self.telemetry.record_point(job.spec.label,
-                                            hit.instructions, 0.0,
-                                            cached=True)
-                job.finish(200, render_result(job.spec, hit, job.key,
-                                              cached=True, wall_s=0.0))
-                return
+        # Another request for the same point may have filled the cache
+        # while this one was queued.
+        hit = self.answer_from_cache(job.spec, job.key, job.trace)
+        if hit is not None:
+            job.finish(200, hit)
+            return
         remaining = job.deadline - now
         started = time.monotonic()
         started_wall = time.time()
@@ -703,6 +799,13 @@ class SimServer:
         return stats, time.monotonic() - started
 
 
+def _shut_read(conn: socket.socket) -> None:
+    try:
+        conn.shutdown(socket.SHUT_RD)
+    except OSError:
+        pass  # already closed by the peer or by its own thread
+
+
 def _simulate(payload: Dict[str, Any]) -> Dict[str, Any]:
     """The pool workers' task: ``execute_point`` as this module's global
     names it when the worker forks (so a substitution made before the
@@ -717,10 +820,21 @@ def _make_handler(server: SimServer):
     """A request-handler class bound to one :class:`SimServer`."""
 
     class Handler(BaseHTTPRequestHandler):
+        # HTTP/1.1: connections stay open between requests.
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve/1"
+        disable_nagle_algorithm = True   # TCP_NODELAY on accepted sockets
+        timeout = KEEPALIVE_IDLE_S
 
         # ------------------------------------------------------------- plumbing
+
+        def setup(self) -> None:
+            super().setup()
+            server._track(self.connection)
+
+        def finish(self) -> None:
+            server._untrack(self.connection)
+            super().finish()
 
         def log_message(self, format, *args):  # noqa: A002 - stdlib name
             pass  # the service narrates via /metrics, not stderr
@@ -733,16 +847,27 @@ def _make_handler(server: SimServer):
         def _respond_bytes(self, status: int, blob: bytes,
                            content_type: str,
                            headers: Optional[Dict[str, str]] = None) -> None:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(blob)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
+            """Head and body in one write.  Written separately, the body
+            of a kept-alive response waits on Nagle's algorithm for the
+            client's delayed ACK of the head (tens of milliseconds)."""
+            lines = [f"{self.protocol_version} {status} "
+                     f"{self.responses.get(status, ('',))[0]}",
+                     f"Server: {self.version_string()}",
+                     f"Date: {self.date_time_string()}",
+                     f"Content-Type: {content_type}",
+                     f"Content-Length: {len(blob)}"]
+            lines += [f"{name}: {value}"
+                      for name, value in (headers or {}).items()]
+            if server.draining:
+                self.close_connection = True
+            if self.close_connection:
+                lines.append("Connection: close")
+            head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
             try:
-                self.wfile.write(blob)
-            except (BrokenPipeError, ConnectionResetError):
-                pass  # client went away; nothing left to tell it
+                self.wfile.write(head + blob)
+            except OSError:
+                # The client went away; nothing left to tell it.
+                self.close_connection = True
 
         def _wants_prometheus(self, query: str) -> bool:
             """Explicit ``?format=`` wins; otherwise an ``Accept`` header
@@ -802,6 +927,7 @@ def _make_handler(server: SimServer):
         def do_POST(self) -> None:  # noqa: N802 - stdlib API
             if self.path != "/v1/simulate":
                 server.metrics.hit("other")
+                self.close_connection = True  # its body is left unread
                 self._respond(404, error_body(404, "unknown path"))
                 return
             server.metrics.hit("simulate")
@@ -809,6 +935,7 @@ def _make_handler(server: SimServer):
             try:
                 status, body, headers = self._simulate()
             except Exception as exc:  # never a traceback on the wire
+                self.close_connection = True  # the body may be half read
                 status, body, headers = 500, error_body(
                     500, f"{type(exc).__name__}: {exc}"), None
             server.metrics.count_response(status)
@@ -821,31 +948,48 @@ def _make_handler(server: SimServer):
             try:
                 length = int(self.headers.get("Content-Length", ""))
             except ValueError:
+                self.close_connection = True  # the body's extent is unknown
                 return 400, error_body(400, "Content-Length required"), None
+            if length > settings.max_body_bytes:
+                self.close_connection = True  # the body is left unread
+                return 400, error_body(
+                    400, f"request body exceeds {settings.max_body_bytes} "
+                         "bytes"), None
             raw = self.rfile.read(max(0, length))
             try:
-                spec, deadline_s, obs_trace = parse_simulate_request(
-                    raw, settings.max_body_bytes)
+                spec, deadline_s, obs_trace, key = server.parse(raw)
             except (ServeError, ConfigurationError) as exc:
                 return 400, error_body(400, str(exc)), None
             if deadline_s is None:
                 deadline_s = settings.default_deadline_s
             deadline_s = min(deadline_s, settings.max_deadline_s)
-            job = _Job(spec, time.monotonic() + deadline_s, deadline_s,
-                       trace_id=obs_trace)
+            # A client-supplied ``obs_trace`` ID keeps one logical dispatch
+            # under one ID across grid → serve → worker hops.
+            trace = Trace(obs_trace)
+            started_wall = time.time()
 
             def with_trace(status: int, body: Dict[str, Any]
                            ) -> Dict[str, Any]:
                 # Close the end-to-end span and surface the whole trace in
                 # the response, whatever the outcome — the ID is the
                 # client's handle for correlating with the server's logs.
-                job.trace.add_span("request", job.enqueued_wall, time.time(),
-                                   cat="serve", status=status)
-                server._note_trace(job.trace.trace_id)
+                trace.add_span("request", started_wall, time.time(),
+                               cat="serve", status=status)
+                server._note_trace(trace.trace_id)
                 body = dict(body)
-                body["trace"] = job.trace.to_dict()
+                body["trace"] = trace.to_dict()
                 return body
 
+            if server.draining:
+                return 503, with_trace(503, error_body(
+                    503, "server is draining")), None
+            # A hit is answered here: never queued behind a miss, never
+            # shed, never handed to an executor thread and back.
+            hit = server.answer_from_cache(spec, key, trace)
+            if hit is not None:
+                return 200, with_trace(200, hit), None
+            job = _Job(spec, key, time.monotonic() + deadline_s, deadline_s,
+                       trace)
             try:
                 server.admit(job)
             except ServeError as exc:

@@ -1,5 +1,6 @@
 """Result cache: key sensitivity, corruption detection, concurrent writers."""
 
+import hashlib
 import json
 import multiprocessing
 from dataclasses import replace
@@ -115,6 +116,22 @@ class TestRoundTrip:
         assert cache.stats()["entries"] == 1
         assert cache.hits == 1 and cache.stores == 1
 
+    def test_hit_decodes_stats_once(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        key = key_of()
+        cache.put(key, sample_stats())
+        decoded = []
+        original = SimStats.from_dict.__func__
+
+        def counting(cls, data):
+            decoded.append(data)
+            return original(cls, data)
+
+        monkeypatch.setattr(SimStats, "from_dict", classmethod(counting))
+        got = cache.get(key)
+        assert got.to_dict() == sample_stats().to_dict()
+        assert len(decoded) == 1  # verification's decode is the answer
+
     def test_absent_key_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.get(key_of()) is None
@@ -174,6 +191,21 @@ class TestCorruptionIsAMiss:
         envelope["payload"]["stats"]["instructions"] += 1
         path.write_text(json.dumps(envelope))
         assert cache.get(key) is None
+
+    def test_undecodable_stats_are_dropped_and_unlinked(self, tmp_path):
+        # A sound envelope (checksum re-sealed) whose stats do not decode:
+        # the decode inside verification must still condemn the entry.
+        from repro.farm.cache import _canonical
+
+        cache, key, path = self._entry(tmp_path)
+        envelope = json.loads(path.read_text())
+        envelope["payload"]["stats"]["no_such_counter"] = 1
+        envelope["sha256"] = hashlib.sha256(
+            _canonical(envelope["payload"])).hexdigest()
+        path.write_text(json.dumps(envelope))
+        assert cache.get(key) is None
+        assert cache.corrupt_dropped == 1 and cache.misses == 1
+        assert not path.exists()
 
     def test_key_mismatch_detected(self, tmp_path):
         # An entry renamed (or hash-colliding) to the wrong address.

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.errors import ServeError
+from repro.errors import ConfigurationError, ServeError
 from repro.serve.client import (
     BreakerPool,
     CircuitBreaker,
@@ -232,3 +232,11 @@ class TestClientWithBreaker:
         assert excinfo.value.status == 429
         assert breaker.state == CircuitBreaker.CLOSED
         assert c.calls == 3
+
+
+class TestBaseUrl:
+    @pytest.mark.parametrize("url", ["127.0.0.1:8023", "ftp://host:1",
+                                     "http://"])
+    def test_malformed_base_url_is_a_configuration_error(self, url):
+        with pytest.raises(ConfigurationError, match="base_url"):
+            ServeClient(url)
